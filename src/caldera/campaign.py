@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .extend import check_minkowski, lift_operator
+from .extend import (
+    DOMINATION_SLACK,
+    RESIDUAL_BUDGET,
+    check_minkowski,
+    lift_operator,
+    norm_bound,
+)
 from .instances import generate_instance, orchestration_rng, payload_rng
 from .kfunc import (
     check_d_power_sandwich,
@@ -224,10 +230,10 @@ def _run_lift(config, index, p, method):
         audit_samples=1000,
         seed=(config.seed << 16) + index,
     )
-    bound = 2.0 ** (1.0 - 1.0 / p)
+    bound = norm_bound(p) + DOMINATION_SLACK
     violations = result.domination_violations
-    violations += int(result.residual_lf_g > 1e-8)
-    violations += sum(int(r > bound + 1e-9) for r in result.norm_sample_ratios)
+    violations += int(result.residual_lf_g > RESIDUAL_BUDGET)
+    violations += sum(int(r > bound) for r in result.norm_sample_ratios)
     ratio = max(result.norm_sample_ratios)
     return n, p, ratio, violations, result.residual_lf_g
 

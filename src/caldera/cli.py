@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .campaign import load_config, run_campaign
-from .extend import lift_operator
+from .extend import lift_certified, lift_operator
 from .instances import load_instance
 from .kfunc import default_t_grid, profile
 from .majorize import (
@@ -110,13 +110,11 @@ def _cmd_lift(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    ok = (
-        result.residual_lf_g <= 1e-8
-        and result.domination_violations == 0
-        and all(
-            r <= 2.0 ** (1.0 - 1.0 / result.p) + 1e-9
-            for r in result.norm_sample_ratios
-        )
+    ok = lift_certified(
+        result.residual_lf_g,
+        result.domination_violations,
+        result.norm_sample_ratios,
+        result.p,
     )
     print(
         f"lift ({result.method}) written to {args.out}; residual "

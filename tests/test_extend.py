@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from caldera import Couple, DomainError, MeasureSpace, WeightedP, INF
+from caldera import Couple, DomainError, MeasureSpace, WeightedP, INF, generate_instance
 from caldera.extend import (
     LiftResult,
     SublinearMajorant,
@@ -193,30 +194,14 @@ def test_holder_row_exactness_and_domination_random():
 
 
 def test_greedy_row_zero_prescription_is_exactly_zero():
+    # the former greedy route's name is kept as an alias of the one row
+    assert greedy_hb_extension_row is holder_extension_row
     H = _identity_majorant(4, alpha=2.0, p=2.0)
     out = greedy_hb_extension_row(H, [1.0, -2.0, 3.0, 0.5], 0.0, 2)
     assert np.array_equal(out, np.zeros(4))
 
 
-def test_greedy_row_agrees_with_holder_on_the_prescribed_line():
-    rng = np.random.default_rng(23)
-    for _ in range(15):
-        n = int(rng.integers(1, 7))
-        p = float(rng.choice([1.5, 2.0, 3.0]))
-        entries = rng.random((n, n)) + 0.1
-        op = MatrixOperator(space=_uniform(n), entries=entries, positive=True)
-        H = SublinearMajorant(operator=op, alpha=default_alpha(p), p=p)
-        f = rng.normal(size=n) * 5.0
-        i = int(rng.integers(0, n))
-        hi_f = apply_majorant(H, f).values[i]
-        g_i = float(rng.uniform(-0.9, 0.9)) * hi_f
-        a = holder_extension_row(H, f, g_i, i)
-        b = greedy_hb_extension_row(H, f, g_i, i)
-        assert a @ f == pytest.approx(g_i, abs=1e-10 * (1 + abs(g_i)))
-        assert b @ f == pytest.approx(g_i, abs=1e-10 * (1 + abs(g_i)))
-
-
-def test_greedy_row_respects_null_directions():
+def test_row_respects_null_directions():
     n = 4
     entries = np.zeros((n, n))
     entries[1, 0] = 0.7
@@ -225,13 +210,13 @@ def test_greedy_row_respects_null_directions():
     H = SublinearMajorant(operator=op, alpha=2.0, p=2.0)
     f = np.array([2.0, 5.0, -1.0, 3.0])
     hi_f = apply_majorant(H, f).values[1]
-    ell = greedy_hb_extension_row(H, f, 0.5 * hi_f, 1)
+    ell = holder_extension_row(H, f, 0.5 * hi_f, 1)
     # coordinates outside the row support cannot carry weight
     assert ell[1] == 0.0 and ell[3] == 0.0
     assert ell @ f == pytest.approx(0.5 * hi_f, rel=1e-9)
 
 
-def test_greedy_row_domination_certificate_random():
+def test_row_domination_certificate_on_sparse_rows():
     rng = np.random.default_rng(29)
     for _ in range(25):
         n = int(rng.integers(2, 8))
@@ -246,11 +231,56 @@ def test_greedy_row_domination_certificate_random():
         if hi_f == 0.0:
             continue
         g_i = float(rng.uniform(-1.0, 1.0)) * hi_f
-        ell = greedy_hb_extension_row(H, f, g_i, i)
+        ell = holder_extension_row(H, f, g_i, i)
         hs = rng.normal(size=(500, n)) * 10.0 ** rng.uniform(-2, 2, size=(500, 1))
         powered = H.alpha * np.abs(hs) ** p
         bound = (powered @ entries[i]) ** (1.0 / p)
         assert np.all(np.abs(hs @ ell) <= bound * (1 + 1e-8) + 1e-300)
+
+
+def _dual_ball_argmax(w, f, sign, p):
+    """argmax of sign*l(f) over sum(w^(-q/p) |l|^q) <= 1, by SLSQP."""
+    q = p / (p - 1.0)
+    a = w ** (-q / p)
+    res = minimize(
+        lambda x: -sign * float(f @ x),
+        np.zeros(f.size),
+        jac=lambda x: -sign * f,
+        method="SLSQP",
+        constraints=[{
+            "type": "ineq",
+            "fun": lambda x: 1.0 - float(np.sum(a * np.abs(x) ** q)),
+            "jac": lambda x: -q * a * np.sign(x) * np.abs(x) ** (q - 1.0),
+        }],
+        options={"ftol": 1e-15, "maxiter": 500},
+    )
+    return res.x
+
+
+def test_saturated_row_is_the_dual_ball_maximizer():
+    # independent of the Holder formula: a saturated prescription
+    # |g_i| = H_i(f) admits exactly one dominated extension, the maximizer of
+    # sign(g_i) l(f) over the dual unit ball
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        p = float(rng.choice([1.1, 1.5, 2.0, 3.0, 6.0]))
+        entries = 10.0 ** rng.uniform(-1.0, 1.0, size=(n, n))
+        op = MatrixOperator(space=_uniform(n), entries=entries, positive=True)
+        H = SublinearMajorant(operator=op, alpha=default_alpha(p), p=p)
+        f = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0)
+        if n >= 2:
+            f[1] = -f[0]  # a tie in |f|
+        if n >= 3:
+            f[2] = 0.0  # a zero
+        f = rng.permutation(f)
+        i = int(rng.integers(0, n))
+        sign = float(rng.choice([-1.0, 1.0]))
+        row = holder_extension_row(H, f, sign * apply_majorant(H, f).values[i], i)
+        oracle = _dual_ball_argmax(H.row_weights(i), f, sign, p)
+        worst = max(worst, float(np.max(np.abs(oracle - row)) / np.max(np.abs(row))))
+    assert worst <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +333,8 @@ def test_lift_methods_cross_check_on_prescribed_line():
     f, g = _k_ordered_pair(rng, n)
     a = lift_operator(couple, f, g, 2.0, method="holder", audit_samples=100)
     b = lift_operator(couple, f, g, 2.0, method="greedy", audit_samples=100)
+    # both methods take the one forced row
+    assert np.array_equal(a.operator.entries, b.operator.entries)
     fa = a.operator.apply(f)
     fb = b.operator.apply(f)
     assert np.allclose(fa, fb, atol=1e-8 * (1 + np.max(np.abs(g))))
@@ -343,3 +375,13 @@ def test_verify_lift_is_deterministic():
     r1 = verify_lift(result, result.majorant, f, g, conv, samples=800, seed=5)
     r2 = verify_lift(result, result.majorant, f, g, conv, samples=800, seed=5)
     assert r1 == r2
+
+
+def test_lift_greedy_pinned_pair_certifies():
+    # the basis-by-basis greedy solver raised "row 5: feasible interval came
+    # up empty at direction 0" on this pair
+    inst = generate_instance(1, 6, p=3.0, k_ordered=True, index=32)
+    result = lift_operator(inst.couple, inst.f, inst.g, 3.0, method="greedy")
+    conv = convexify_couple(inst.couple, 3.0)
+    report = verify_lift(result, result.majorant, inst.f, inst.g, conv)
+    assert report.ok, report
