@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,9 +29,12 @@ from .extend import (
 )
 from .instances import generate_instance, orchestration_rng, payload_rng
 from .kfunc import (
+    D_EXACT_MAX_N,
     check_d_power_sandwich,
     check_k_d_sandwich,
     check_k_power_sandwich,
+    default_t_grid,
+    parse_t_grid,
 )
 from .lattice import INF, MeasureSpace, lub, power_vector, vector
 from .majorize import MatrixOperator
@@ -47,7 +50,6 @@ VALID_SUITES = (
 )
 D_BASED_SUITES = frozenset({"sandwich", "claim1"})
 P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder", "lift-greedy"})
-D_CAPACITY = 22
 CSV_COLUMNS = (
     "suite",
     "instance",
@@ -87,18 +89,16 @@ class CampaignConfig:
         for p in self.p_set:
             if not (1.0 < p < INF):
                 raise DomainError(f"p_set values must lie in (1, inf), got {p}")
-        if D_BASED_SUITES & set(self.suites) and self.n_max > D_CAPACITY:
+        if D_BASED_SUITES & set(self.suites) and self.n_max > D_EXACT_MAX_N:
             raise DomainError(
-                f"n_max must stay at or below {D_CAPACITY} when an exhaustive "
+                f"n_max must stay at or below {D_EXACT_MAX_N} when an exhaustive "
                 f"suite is enabled"
             )
-        lo, hi, count = self.t_grid
-        if not (0.0 < lo < hi) or int(count) < 2:
-            raise DomainError("t_grid needs 0 < lo < hi and at least two points")
+        self.grid()  # default_t_grid rejects a bad t_grid
 
     def grid(self) -> np.ndarray:
         lo, hi, count = self.t_grid
-        return np.geomspace(lo, hi, int(count))
+        return default_t_grid(lo, hi, int(count))
 
 
 _CONFIG_KEYS = {
@@ -133,10 +133,7 @@ def parse_config(text: str) -> CampaignConfig:
         elif key == "suites":
             values[key] = tuple(x.strip() for x in val.split(",") if x.strip())
         elif key == "t_grid":
-            if not val.startswith("geometric:"):
-                raise DomainError("t_grid must look like geometric:lo,hi,count")
-            lo, hi, count = val[len("geometric:") :].split(",")
-            values[key] = (float(lo), float(hi), int(count))
+            values[key] = parse_t_grid(val)
     return CampaignConfig(**values)
 
 
@@ -412,15 +409,7 @@ def write_csv(report: CampaignReport, path: str) -> None:
 
 def write_json(report: CampaignReport, path: str) -> None:
     payload = {
-        "config": {
-            "seed": report.config.seed,
-            "instance_count": report.config.instance_count,
-            "n_min": report.config.n_min,
-            "n_max": report.config.n_max,
-            "p_set": list(report.config.p_set),
-            "t_grid": list(report.config.t_grid),
-            "suites": list(report.config.suites),
-        },
+        "config": asdict(report.config),
         "rows": [
             dict(zip(CSV_COLUMNS, _row_cells(row), strict=True)) for row in report.rows
         ],

@@ -12,21 +12,12 @@ import numpy as np
 from .campaign import load_config, run_campaign
 from .extend import lift_certified, lift_operator
 from .instances import load_instance
-from .kfunc import default_t_grid, profile
+from .kfunc import default_t_grid, parse_t_grid, profile
 from .majorize import (
     construct_positive_operator,
     operator_norm_1,
     operator_norm_inf,
 )
-
-
-def _parse_grid(spec: str) -> np.ndarray:
-    if spec is None:
-        return default_t_grid()
-    if not spec.startswith("geometric:"):
-        raise ValueError("t-grid must look like geometric:lo,hi,count")
-    lo, hi, count = spec[len("geometric:") :].split(",")
-    return np.geomspace(float(lo), float(hi), int(count))
 
 
 def _f17(x: float) -> str:
@@ -35,7 +26,8 @@ def _f17(x: float) -> str:
 
 def _cmd_kprofile(args) -> int:
     inst = load_instance(args.instance)
-    grid = _parse_grid(args.t_grid)
+    spec = () if args.t_grid is None else parse_t_grid(args.t_grid)
+    grid = default_t_grid(*spec)
     prof = profile(args.kind, inst.couple, inst.f, grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .kfunc import default_t_grid, profile
+from .kfunc import ORDER_GRID_SLACK, default_t_grid, profile
 from .lattice import (
     INF,
     Couple,
     LatticeVector,
     convexify_couple,
+    dual_p_norm,
     is_l1_linf,
     norm_values,
     vector,
@@ -177,11 +178,6 @@ def _row_feasible_target(g_i: float, attainable: float, slack: float) -> float:
     return math.copysign(attainable, g_i)
 
 
-def _dual_seminorm(w: np.ndarray, ell: np.ndarray, p: float) -> float:
-    q = p / (p - 1.0)
-    return float(np.sum(w ** (-q / p) * np.abs(ell) ** q)) ** (1.0 / q)
-
-
 def holder_extension_row(
     majorant: SublinearMajorant, f, g_i: float, i: int, slack: float = 0.0
 ) -> np.ndarray:
@@ -203,7 +199,7 @@ def holder_extension_row(
     target = _row_feasible_target(float(g_i), attainable, slack)
     ell = target * w * np.abs(fv) ** (p - 1.0) * np.sign(fv) / denom
     sup = w > 0.0
-    rho = _dual_seminorm(w[sup], ell[sup], p)
+    rho = float(dual_p_norm(w[sup], ell[sup], p))
     if rho > 1.0 + ROW_RESCALE_TOL:
         raise NumericalFailure(
             f"row {i}: domination certificate failed with dual norm {rho:.12g}",
@@ -256,7 +252,8 @@ def _require_k_ordering(conv: Couple, f: np.ndarray, g: np.ndarray) -> None:
     ts = default_t_grid()
     prof_f = profile("K", conv, f, ts)
     prof_g = profile("K", conv, g, ts)
-    tol = 1e-9 * np.maximum(prof_f.values, 1e-300) + prof_f.gaps + prof_g.gaps
+    slack = ORDER_GRID_SLACK * np.maximum(prof_f.values, 1e-300)
+    tol = slack + prof_f.gaps + prof_g.gaps
     bad = np.flatnonzero(prof_g.values > prof_f.values + tol)
     if bad.size:
         t = float(ts[bad[0]])

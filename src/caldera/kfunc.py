@@ -8,7 +8,8 @@ t, and D never exceeds 2 K.
 Three computational routes live here:
 
 * a closed form for the (l1, linf) couple via the weighted decreasing
-  rearrangement (the profile is piecewise linear in t),
+  rearrangement (the profile is piecewise linear in t; the integral itself
+  is :func:`caldera.majorize.rearrangement_integral`),
 * a general numerical solver over sign-compatible dominated splittings
   (1-d search over truncation levels when one exponent is infinite,
   projected gradient over the box otherwise),
@@ -21,13 +22,12 @@ and against the constants that control p-convexification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     CapacityError,
-    DimensionMismatch,
     DomainError,
     InternalConsistencyError,
     NumericalFailure,
@@ -38,12 +38,15 @@ from .lattice import (
     LatticeVector,
     MeasureSpace,
     convexify_couple,
+    dual_p_norm,
     effective_exponent,
     is_l1_linf,
     norm,
+    values_of,
     vector,
+    weighted_p_norm,
 )
-from .majorize import weighted_weak_submajorizes
+from .majorize import rearrangement_integral, weighted_weak_submajorizes
 
 D_EXACT_MAX_N = 22
 
@@ -63,13 +66,18 @@ def default_t_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 61) -> np.nda
     return np.geomspace(lo, hi, count)
 
 
-def _values(f) -> np.ndarray:
-    if isinstance(f, LatticeVector):
-        return np.asarray(f.values, dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch("expected a 1-d vector")
-    return arr
+def parse_t_grid(spec: str) -> tuple:
+    """(lo, hi, count) from a ``geometric:lo,hi,count`` grid spec."""
+    if not spec.startswith("geometric:"):
+        raise DomainError("t grid must look like geometric:lo,hi,count")
+    lo, hi, count = spec[len("geometric:") :].split(",")
+    return float(lo), float(hi), int(count)
+
+
+def _positive_t(t) -> float:
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be a positive real, got {t}")
+    return float(t)
 
 
 def _as_grid(t_grid) -> np.ndarray:
@@ -101,7 +109,7 @@ class Decomposition:
 
 
 def check_decomposition(f, dec: Decomposition, rel_tol: float = 1e-12) -> bool:
-    fv = _values(f)
+    fv = values_of(f)
     err = np.max(np.abs(dec.reconstruction() - fv), initial=0.0)
     return err <= rel_tol * max(float(np.max(np.abs(fv), initial=0.0)), 1e-300) + 1e-300
 
@@ -123,37 +131,6 @@ def require_l1_linf(couple: Couple):
         raise DomainError("operation requires the (l1, linf) couple")
 
 
-@dataclass(frozen=True)
-class _SortedView:
-    av: np.ndarray  # moduli, nonincreasing
-    wv: np.ndarray  # matching weights
-    cw: np.ndarray  # cumulative weights
-    cwa: np.ndarray  # cumulative weighted moduli
-
-
-def _sorted_view(space: MeasureSpace, fv: np.ndarray) -> _SortedView:
-    if fv.size != space.n:
-        raise DimensionMismatch("vector length does not match atom count")
-    a = np.abs(fv)
-    order = np.argsort(-a, kind="stable")
-    av = a[order]
-    wv = space.weights[order]
-    return _SortedView(av=av, wv=wv, cw=np.cumsum(wv), cwa=np.cumsum(wv * av))
-
-
-def _k_exact_batch(view: _SortedView, ts: np.ndarray):
-    """Values, truncation levels and split norms of K on (l1, linf)."""
-    k = np.minimum(np.searchsorted(view.cw, ts, side="left"), view.av.size - 1)
-    prev_w = np.where(k > 0, view.cw[k - 1], 0.0)
-    prev_s = np.where(k > 0, view.cwa[k - 1], 0.0)
-    inside = ts < view.cw[-1]
-    values = np.where(inside, prev_s + (ts - prev_w) * view.av[k], view.cwa[-1])
-    levels = np.where(inside, view.av[k], 0.0)
-    a0_norm = np.where(inside, prev_s - prev_w * levels, view.cwa[-1])
-    a1_norm = levels
-    return values, levels, a0_norm, a1_norm
-
-
 def k_exact_l1_linf(space: MeasureSpace, f, t: float):
     """K(t, f) on the weighted (l1, linf) couple, with an optimal splitting.
 
@@ -161,41 +138,16 @@ def k_exact_l1_linf(space: MeasureSpace, f, t: float):
     rearrangement of |f|; the optimal splitting truncates |f| at the level
     the rearrangement takes at position t.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be a positive real, got {t}")
-    fv = _values(f)
-    view = _sorted_view(space, fv)
-    ts = np.array([float(t)])
-    values, levels, _, _ = _k_exact_batch(view, ts)
-    c = float(levels[0])
-    u = np.maximum(np.abs(fv) - c, 0.0)
+    ts = np.array([_positive_t(t)])
+    fv = values_of(f, space.n)
+    values, levels, _ = rearrangement_integral(space.weights, np.abs(fv), ts)
+    u = np.maximum(np.abs(fv) - float(levels[0]), 0.0)
     return float(values[0]), _split_from_modulus(space, fv, u)
 
 
 # ---------------------------------------------------------------------------
 # numerical route
 # ---------------------------------------------------------------------------
-
-
-def _pnorm(w: np.ndarray, x: np.ndarray, p: float) -> float:
-    if p == INF:
-        return float(np.max(x, initial=0.0))
-    if p == 1.0:
-        return float(np.dot(w, x))
-    m = float(np.max(x, initial=0.0))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum(w * (x / m) ** p)) ** (1.0 / p)
-
-
-def _pnorm_rows(w: np.ndarray, rows: np.ndarray, p: float) -> np.ndarray:
-    if p == INF:
-        return np.max(rows, axis=1, initial=0.0)
-    if p == 1.0:
-        return rows @ w
-    m = np.max(rows, axis=1, initial=0.0)
-    safe = np.where(m > 0.0, m, 1.0)
-    return m * np.sum(w * (rows / safe[:, None]) ** p, axis=1) ** (1.0 / p)
 
 
 def _golden_min_batch(fun, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
@@ -263,23 +215,12 @@ def _k_truncation_batch(w: np.ndarray, fv: np.ndarray, p0: float, ts: np.ndarray
 
     def objective(cs: np.ndarray) -> np.ndarray:
         excess = np.maximum(a[None, :] - cs[:, None], 0.0)
-        return _pnorm_rows(w, excess, p0) + ts * cs
+        return weighted_p_norm(w, excess, p0) + ts * cs
 
     lo = np.zeros_like(ts)
     hi = np.full_like(ts, top)
     best_c, best_f, gap = _golden_min_batch(objective, lo, hi)
     return best_f, best_c, gap
-
-
-def _dual_pnorm(w: np.ndarray, z: np.ndarray, p: float) -> float:
-    """Norm dual to the weighted p-norm under the plain dot pairing."""
-    az = np.abs(z)
-    if p == 1.0:
-        return float(np.max(az / w, initial=0.0))
-    if p == INF:
-        return float(np.sum(az))
-    q = p / (p - 1.0)
-    return _pnorm(w ** (-q / p), az, q)
 
 
 def _pgd_box(
@@ -301,7 +242,7 @@ def _pgd_box(
     """
 
     def n_and_grad(x: np.ndarray, p: float):
-        val = _pnorm(w, x, p)
+        val = weighted_p_norm(w, x, p)
         if p == 1.0:
             return val, w.copy()
         if val == 0.0:
@@ -309,15 +250,15 @@ def _pgd_box(
         return val, w * (x / val) ** (p - 1.0)
 
     def phi(u: np.ndarray) -> float:
-        return _pnorm(w, u, p0) + t * _pnorm(w, v - u, p1)
+        return weighted_p_norm(w, u, p0) + t * weighted_p_norm(w, v - u, p1)
 
     def dual_bound(g0: np.ndarray, g1: np.ndarray) -> float:
         # two candidate multipliers built from the side gradients; each gets
         # shrunk onto the feasible dual box before the pairing is taken
         lb = 0.0
         for z in (g0, t * g1):
-            d0 = _dual_pnorm(w, z, p0)
-            d1 = _dual_pnorm(w, z, p1)
+            d0 = dual_p_norm(w, z, p0)
+            d1 = dual_p_norm(w, z, p1)
             scale = min(
                 1.0 / d0 if d0 > 1.0 else 1.0,
                 t / d1 if d1 > t else 1.0,
@@ -395,30 +336,23 @@ def _exponents(couple: Couple):
 
 
 def _k_numeric_full(couple: Couple, f, t: float):
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be a positive real, got {t}")
-    fv = _values(f)
+    t = _positive_t(t)
     space = couple.space
-    if fv.size != space.n:
-        raise DimensionMismatch("vector length does not match atom count")
+    fv = values_of(f, space.n)
     w = space.weights
     p0, p1 = _exponents(couple)
 
     if p1 == INF:
-        vals, cs, gaps = _k_truncation_batch(w, fv, p0, np.array([float(t)]))
+        vals, cs, gaps = _k_truncation_batch(w, fv, p0, np.array([t]))
         u = np.maximum(np.abs(fv) - float(cs[0]), 0.0)
         return float(vals[0]), _split_from_modulus(space, fv, u), float(gaps[0])
 
     if p0 == INF:
         swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
-        val, dec, gap = _k_numeric_full(swapped, fv, 1.0 / float(t))
-        return (
-            float(t) * val,
-            Decomposition(a0=dec.a1, a1=dec.a0),
-            float(t) * gap,
-        )
+        val, dec, gap = _k_numeric_full(swapped, fv, 1.0 / t)
+        return t * val, Decomposition(a0=dec.a1, a1=dec.a0), t * gap
 
-    best_f, best_u, gap = _pgd_box(w, np.abs(fv), p0, p1, float(t))
+    best_f, best_u, gap = _pgd_box(w, np.abs(fv), p0, p1, t)
     return best_f, _split_from_modulus(space, fv, best_u), gap
 
 
@@ -469,13 +403,10 @@ def _d_tables(couple: Couple, fv: np.ndarray):
 
 def d_exact(couple: Couple, f, t: float):
     """Exact D(t, f) by enumerating all disjoint splittings."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be a positive real, got {t}")
-    fv = _values(f)
-    if fv.size != couple.space.n:
-        raise DimensionMismatch("vector length does not match atom count")
+    t = _positive_t(t)
+    fv = values_of(f, couple.space.n)
     a_table, b_table = _d_tables(couple, fv)
-    totals = a_table + float(t) * b_table
+    totals = a_table + t * b_table
     mask = int(np.argmin(totals))
     keep = np.array([(mask >> i) & 1 for i in range(fv.size)], dtype=bool)
     a0 = np.where(keep, fv, 0.0)
@@ -534,22 +465,27 @@ def _validate_profile(prof: KProfile, tol: float = PROFILE_TOL):
 def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     """K over a grid, picking the fastest applicable route.
 
-    Returns values, split norms and certified gaps (zero for closed forms).
+    (l1, sup) takes the closed form, a sup side otherwise the truncation
+    search, and finite pairs the projected gradient.  Returns values, split
+    norms and certified gaps (zero for the closed form).
     """
     space = couple.space
     p0, p1 = _exponents(couple)
     w = space.weights
     if p1 == INF:
-        vals, cs, gaps = _k_truncation_batch(w, fv, p0, ts)
         a = np.abs(fv)
+        if p0 == 1.0:
+            vals, levels, a0n = rearrangement_integral(w, a, ts)
+            return vals, a0n, levels, np.zeros_like(ts)
+        vals, cs, gaps = _k_truncation_batch(w, fv, p0, ts)
         excess = np.maximum(a[None, :] - cs[:, None], 0.0)
-        a0n = _pnorm_rows(w, excess, p0)
+        a0n = weighted_p_norm(w, excess, p0)
         a1n = np.minimum(float(np.max(a, initial=0.0)), cs)
         return vals, a0n, a1n, gaps
     if p0 == INF:
         swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
         vals, a0n, a1n, gaps = _k_values(swapped, fv, (1.0 / ts)[::-1])
-        return (ts * vals[::-1], ts * 0 + a1n[::-1], a0n[::-1], ts * gaps[::-1])
+        return ts * vals[::-1], a1n[::-1].copy(), a0n[::-1], ts * gaps[::-1]
     vals = np.empty_like(ts)
     a0n = np.empty_like(ts)
     a1n = np.empty_like(ts)
@@ -575,14 +511,9 @@ def profile(kind: str, couple: Couple, f, t_grid, validate: bool = True) -> KPro
     if kind not in ("K", "D"):
         raise DomainError(f"profile kind must be 'K' or 'D', got {kind!r}")
     ts = _as_grid(t_grid)
-    fv = _values(f)
+    fv = values_of(f, couple.space.n)
     if kind == "K":
-        if is_l1_linf(couple):
-            view = _sorted_view(couple.space, fv)
-            vals, _, a0n, a1n = _k_exact_batch(view, ts)
-            gaps = np.zeros_like(ts)
-        else:
-            vals, a0n, a1n, gaps = _k_values(couple, fv, ts)
+        vals, a0n, a1n, gaps = _k_values(couple, fv, ts)
     else:
         vals, a0n, a1n = _d_batch(couple, fv, ts)
         gaps = np.zeros_like(ts)
@@ -613,9 +544,8 @@ class SandwichReport:
 
 def check_k_d_sandwich(couple: Couple, f, t_grid=None, rel_tol: float = SANDWICH_TOL):
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
-    fv = _values(f)
-    kprof = profile("K", couple, fv, ts, validate=False)
-    dprof = profile("D", couple, fv, ts, validate=False)
+    kprof = profile("K", couple, f, ts, validate=False)
+    dprof = profile("D", couple, f, ts, validate=False)
     kv, dv = kprof.values, dprof.values
     slack = rel_tol * np.maximum(kv, 1e-300) + kprof.gaps
     violations = []
@@ -663,7 +593,7 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol, solver_slack):
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError("convexification exponent must lie in (1, inf)")
-    fv = _values(f)
+    fv = values_of(f, couple.space.n)
     powered = np.abs(fv) ** p
     conv = convexify_couple(couple, p)
     ts_root = ts ** (1.0 / p)
@@ -697,28 +627,25 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol, solver_slack):
         violations.append((float("nan"), "non-finite value", math.inf))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(lower > 0.0, middle / scale, 1.0)
-    return ts, lower, middle, bound, ratios, tuple(violations), tuple(flags)
-
-
-def check_d_power_sandwich(
-    couple: Couple, f, p: float, t_grid=None, rel_tol: float = SANDWICH_TOL
-) -> PowerSandwichReport:
-    """D(t, |f|^p)^(1/p) <= D(t^(1/p), f; convexified) <= 2^(1-1/p) times it."""
-    ts, lower, middle, bound, ratios, violations, flags = _power_sandwich(
-        "D", couple, f, p, t_grid, rel_tol, 0.0
-    )
     return PowerSandwichReport(
         ok=not violations,
-        kind="D",
+        kind=kind,
         p=float(p),
         bound=bound,
         t_grid=ts,
         lower=lower,
         middle=middle,
         max_ratio=float(np.max(ratios, initial=1.0)),
-        violations=violations,
-        solver_flags=flags,
+        violations=tuple(violations),
+        solver_flags=tuple(flags),
     )
+
+
+def check_d_power_sandwich(
+    couple: Couple, f, p: float, t_grid=None, rel_tol: float = SANDWICH_TOL
+) -> PowerSandwichReport:
+    """D(t, |f|^p)^(1/p) <= D(t^(1/p), f; convexified) <= 2^(1-1/p) times it."""
+    return _power_sandwich("D", couple, f, p, t_grid, rel_tol, 0.0)
 
 
 def check_k_power_sandwich(
@@ -735,30 +662,16 @@ def check_k_power_sandwich(
     <= 2^(2p) K(t, |f|^p), which follows from the main chain and must hold
     with room to spare.
     """
-    ts, lower, middle, bound, ratios, violations, flags = _power_sandwich(
-        "K", couple, f, p, t_grid, rel_tol, solver_slack
-    )
-    k_base = lower ** p
-    k_conv_p = middle ** p
+    report = _power_sandwich("K", couple, f, p, t_grid, rel_tol, solver_slack)
+    k_base = report.lower ** p
+    k_conv_p = report.middle ** p
     scale = np.maximum(k_base, 1e-300)
     slack = (rel_tol + p * solver_slack) * scale
     corollary_ok = bool(
         np.all(k_base <= 2.0 ** p * k_conv_p + slack)
         and np.all(2.0 ** p * k_conv_p <= 2.0 ** (2.0 * p) * k_base + 2.0 ** p * slack)
     )
-    return PowerSandwichReport(
-        ok=not violations and corollary_ok,
-        kind="K",
-        p=float(p),
-        bound=bound,
-        t_grid=ts,
-        lower=lower,
-        middle=middle,
-        max_ratio=float(np.max(ratios, initial=1.0)),
-        violations=violations,
-        solver_flags=flags,
-        corollary_ok=corollary_ok,
-    )
+    return replace(report, ok=report.ok and corollary_ok, corollary_ok=corollary_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +691,8 @@ def k_order_dominates(
     error, not a property of the input.
     """
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
-    fv = _values(f)
-    gv = _values(g)
+    fv = values_of(f, couple.space.n)
+    gv = values_of(g, couple.space.n)
     kf = profile("K", couple, fv, ts, validate=False)
     kg = profile("K", couple, gv, ts, validate=False)
     tol = slack * np.maximum(kf.values, 1e-300) + kf.gaps + kg.gaps

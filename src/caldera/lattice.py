@@ -77,6 +77,19 @@ def vector(space: MeasureSpace, values) -> LatticeVector:
     return LatticeVector(space, values)
 
 
+def values_of(f, n: int | None = None) -> np.ndarray:
+    """Float entries of a vector or a 1-d array, checked against n atoms."""
+    if isinstance(f, LatticeVector):
+        arr = np.asarray(f.values, dtype=float)
+    else:
+        arr = np.asarray(f, dtype=float)
+        if arr.ndim != 1:
+            raise DimensionMismatch("expected a 1-d vector")
+    if n is not None and arr.size != n:
+        raise DimensionMismatch("vector length does not match atom count")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # norm specifications
 # ---------------------------------------------------------------------------
@@ -131,23 +144,36 @@ def effective_exponent(spec: NormSpec) -> float:
     return spec.p * q
 
 
-def _weighted_p_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
+def weighted_p_norm(w: np.ndarray, a: np.ndarray, p: float):
+    """Weighted p-norm of nonnegative moduli ``a``, reduced over the last axis.
+
+    A 1-d ``a`` gives a scalar, a batch of rows gives one norm per row.
+    """
     if p == INF:
-        return float(np.max(a)) if a.size else 0.0
+        return a.max(axis=-1, initial=0.0)
     if p == 1.0:
-        return float(np.dot(w, a))
-    m = float(np.max(a)) if a.size else 0.0
-    if m == 0.0:
-        return 0.0
+        return a @ w
+    m = a.max(axis=-1, initial=0.0)
     # factor out the max to avoid overflow for large exponents
-    return m * float(np.sum(w * (a / m) ** p)) ** (1.0 / p)
+    safe = np.where(m > 0.0, m, 1.0)
+    return m * (w * (a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def dual_p_norm(w: np.ndarray, z: np.ndarray, p: float):
+    """Norm dual to the weighted p-norm under the plain dot pairing."""
+    az = np.abs(z)
+    if p == 1.0:
+        return (az / w).max(axis=-1, initial=0.0)
+    if p == INF:
+        return az.sum(axis=-1)
+    q = p / (p - 1.0)
+    return weighted_p_norm(w ** (-q / p), az, q)
 
 
 def norm(spec: NormSpec, f: LatticeVector) -> float:
     """Evaluate a norm specification on a vector."""
-    a = np.abs(f.values)
-    p_eff = effective_exponent(spec)
-    return _weighted_p_norm(f.space.weights, a, p_eff)
+    p = effective_exponent(spec)
+    return float(weighted_p_norm(f.space.weights, np.abs(f.values), p))
 
 
 def norm_values(spec: NormSpec, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
@@ -155,16 +181,7 @@ def norm_values(spec: NormSpec, space: MeasureSpace, rows: np.ndarray) -> np.nda
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != space.n:
         raise DimensionMismatch("row length does not match atom count")
-    a = np.abs(rows)
-    p = effective_exponent(spec)
-    if p == INF:
-        return np.max(a, axis=1)
-    if p == 1.0:
-        return a @ space.weights
-    m = np.max(a, axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
-    s = np.sum(space.weights * (a / safe[:, None]) ** p, axis=1)
-    return m * s ** (1.0 / p)
+    return weighted_p_norm(space.weights, np.abs(rows), effective_exponent(spec))
 
 
 # ---------------------------------------------------------------------------

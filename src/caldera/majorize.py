@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     NumericalFailure,
 )
-from .lattice import LatticeVector, MeasureSpace, NormSpec, norm_values
+from .lattice import MeasureSpace, NormSpec, norm_values, values_of
 
 MAX_OPERATOR_SIZE = 256
 
@@ -30,15 +30,6 @@ MAX_OPERATOR_SIZE = 256
 STOCHASTIC_TOL = 1e-12
 # residual ||S fstar - h|| and ||T f - g|| relative to the target scale
 RESIDUAL_TOL = 1e-10
-
-
-def _values(f) -> np.ndarray:
-    if isinstance(f, LatticeVector):
-        return np.asarray(f.values, dtype=float)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch("expected a 1-d vector")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,7 @@ class RearrangementResult:
 
 
 def decreasing_rearrangement(f) -> RearrangementResult:
-    vals = np.abs(_values(f))
+    vals = np.abs(values_of(f))
     order = np.argsort(-vals, kind="stable")
     out = vals[order]
     out.setflags(write=False)
@@ -85,19 +76,27 @@ def _first_failing_prefix(f, g, rel_tol: float = 1e-12):
     return int(np.argmax(bad)) + 1  # prefix length, 1-based
 
 
-def _prefix_integral(weights: np.ndarray, moduli: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    # integral of the weighted decreasing rearrangement step function over [0, t]
+def rearrangement_integral(weights: np.ndarray, moduli: np.ndarray, ts: np.ndarray):
+    """Integral over [0, t] of the weighted decreasing rearrangement of moduli.
+
+    This is K(t) on the weighted (l1, sup) couple, and the splitting that
+    truncates the moduli at the rearrangement's level at t attains it.
+    Returns the values, the truncation levels and the l1 norms of the
+    truncated excess; the sup norm of the other part is the level itself.
+    """
     order = np.argsort(-moduli, kind="stable")
     av = moduli[order]
     wv = weights[order]
     cw = np.cumsum(wv)
     cwa = np.cumsum(wv * av)
-    k = np.searchsorted(cw, ts, side="left")
-    k = np.minimum(k, av.size - 1)
+    k = np.minimum(np.searchsorted(cw, ts, side="left"), av.size - 1)
     prev_w = np.where(k > 0, cw[k - 1], 0.0)
     prev_s = np.where(k > 0, cwa[k - 1], 0.0)
     inside = ts < cw[-1]
-    return np.where(inside, prev_s + (ts - prev_w) * av[k], cwa[-1])
+    values = np.where(inside, prev_s + (ts - prev_w) * av[k], cwa[-1])
+    levels = np.where(inside, av[k], 0.0)
+    a0_norms = np.where(inside, prev_s - prev_w * levels, cwa[-1])
+    return values, levels, a0_norms
 
 
 def weighted_weak_submajorizes(space: MeasureSpace, f, g, rel_tol: float = 1e-12) -> bool:
@@ -107,14 +106,12 @@ def weighted_weak_submajorizes(space: MeasureSpace, f, g, rel_tol: float = 1e-12
     of |f| and |g| at the breakpoints of g's rearrangement; by piecewise
     linearity and concavity this decides the comparison for every t > 0.
     """
-    fv = np.abs(_values(f))
-    gv = np.abs(_values(g))
-    if fv.size != space.n or gv.size != space.n:
-        raise DimensionMismatch("vector length does not match atom count")
+    fv = np.abs(values_of(f, space.n))
+    gv = np.abs(values_of(g, space.n))
     order_g = np.argsort(-gv, kind="stable")
     breakpoints = np.cumsum(space.weights[order_g])
-    int_f = _prefix_integral(space.weights, fv, breakpoints)
-    int_g = _prefix_integral(space.weights, gv, breakpoints)
+    int_f, _, _ = rearrangement_integral(space.weights, fv, breakpoints)
+    int_g, _, _ = rearrangement_integral(space.weights, gv, breakpoints)
     return bool(np.all(int_g <= int_f * (1.0 + rel_tol) + 1e-300))
 
 
@@ -139,8 +136,8 @@ def fill_to_exact_majorization(fstar, gstar) -> np.ndarray:
     nonincreasing: a raised block never averages above the f* tail next to
     it.
     """
-    fs = _values(fstar)
-    gs = _values(gstar)
+    fs = values_of(fstar)
+    gs = values_of(gstar)
     if fs.size != gs.size:
         raise DimensionMismatch("fstar and gstar must have the same length")
     _require_nonincreasing_nonneg(fs, "fstar")
@@ -202,8 +199,8 @@ def t_transform_chain(fstar, h) -> TransformChain:
     the running vector still exceeds / falls short of the target and zeroes
     at least one mismatch, so the chain terminates within n-1 factors.
     """
-    x = _values(fstar).copy()
-    y = _values(h)
+    x = values_of(fstar).copy()
+    y = values_of(h)
     if x.size != y.size:
         raise DimensionMismatch("fstar and h must have the same length")
     _require_nonincreasing_nonneg(x, "fstar")
@@ -240,7 +237,7 @@ def t_transform_chain(fstar, h) -> TransformChain:
         s = factor.matrix(n) @ s
         factors.append(factor)
 
-    residual = float(np.max(np.abs(s @ _values(fstar) - y))) if n else 0.0
+    residual = float(np.max(np.abs(s @ values_of(fstar) - y))) if n else 0.0
     if residual > RESIDUAL_TOL * (1.0 + float(np.max(y, initial=0.0))):
         raise NumericalFailure(
             f"pinch chain residual {residual:.3e} above tolerance",
@@ -273,7 +270,7 @@ class MatrixOperator:
         object.__setattr__(self, "entries", m)
 
     def apply(self, h) -> np.ndarray:
-        return self.entries @ _values(h)
+        return self.entries @ values_of(h)
 
 
 def operator_norm_1(op: MatrixOperator) -> float:
@@ -316,11 +313,9 @@ def construct_positive_operator(space: MeasureSpace, f, g) -> MatrixOperator:
     unsort_g . diag(g*/h) . pinch_chain . sort_f, where h is the exact
     majorization fill of g* under f*.
     """
-    fv = _values(f)
-    gv = _values(g)
     n = space.n
-    if fv.size != n or gv.size != n:
-        raise DimensionMismatch("vector length does not match atom count")
+    fv = values_of(f, n)
+    gv = values_of(g, n)
     if n > MAX_OPERATOR_SIZE:
         raise CapacityError(f"operator construction capped at n = {MAX_OPERATOR_SIZE}")
     if not space.is_uniform():

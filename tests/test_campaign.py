@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from caldera import CampaignConfig, DomainError, parse_config, run_campaign
-from caldera.campaign import CSV_COLUMNS, write_csv
+from caldera.campaign import (
+    CSV_COLUMNS,
+    CampaignReport,
+    CampaignRow,
+    _row_cells,
+    _summary_cells,
+    write_csv,
+    write_json,
+)
 
 
 BASE_TEXT = """
@@ -32,6 +40,34 @@ def test_parse_config_round_trip():
     assert cfg.t_grid == (1e-2, 1e2, 31)
     assert cfg.suites[0] == "sandwich"
     assert cfg.grid().size == 31
+
+
+def test_json_report_bytes_match_the_field_by_field_layout(tmp_path):
+    cfg = parse_config(BASE_TEXT)
+    rows = (
+        CampaignRow("sandwich", 0, 21, 4, None, 1.25, 0, None, 0.5),
+        CampaignRow("claim1", 1, 21, 2, 1.5, None, 1, 1e-12, 0.25, "DomainError: x"),
+    )
+    report = CampaignReport(
+        config=cfg, rows=rows, total_violations=1, total_runtime_s=0.75
+    )
+    path = tmp_path / "r.json"
+    write_json(report, str(path))
+    # the layout the report had when the config block was written field by field
+    expected = {
+        "config": {
+            "seed": cfg.seed,
+            "instance_count": cfg.instance_count,
+            "n_min": cfg.n_min,
+            "n_max": cfg.n_max,
+            "p_set": list(cfg.p_set),
+            "t_grid": list(cfg.t_grid),
+            "suites": list(cfg.suites),
+        },
+        "rows": [dict(zip(CSV_COLUMNS, _row_cells(r), strict=True)) for r in rows],
+        "summary": dict(zip(CSV_COLUMNS, _summary_cells(report), strict=True)),
+    }
+    assert path.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
 
 
 def test_parse_config_rejects_unknown_keys_and_suites():

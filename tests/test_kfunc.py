@@ -11,6 +11,7 @@ from caldera import (
     INF,
     CapacityError,
     Couple,
+    DimensionMismatch,
     DomainError,
     MeasureSpace,
     WeightedP,
@@ -30,6 +31,7 @@ from caldera.kfunc import (
     k_order_dominates,
     profile,
     _k_numeric_full,
+    _k_values,
 )
 from caldera.lattice import norm
 
@@ -375,6 +377,59 @@ def test_profile_convexified_couple_uses_truncation_route():
         t = float(prof.t_grid[i])
         expected, _ = k_numeric(couple, f, t)
         assert prof.values[i] == pytest.approx(expected, rel=1e-9)
+
+
+def test_k_values_takes_the_closed_form_on_l1_linf():
+    rng = np.random.default_rng(43)
+    ts = default_t_grid()
+    for n in (1, 2, 5, 17):
+        sp = _rand_space(rng, n)
+        f = _rand_f(rng, n)
+        f[0] = 0.0
+        vals, a0n, a1n, gaps = _k_values(l1_linf_couple(sp), f, ts)
+        assert np.all(gaps == 0.0)
+        for i, t in enumerate(ts):
+            assert vals[i] == k_exact_l1_linf(sp, f, float(t))[0]
+        assert np.allclose(a0n + ts * a1n, vals, rtol=1e-12)
+        # (sup, l1) reaches the same closed form through K(t) = t K(1/t)
+        swapped = Couple(space=sp, norm0=WeightedP(INF), norm1=WeightedP(1.0))
+        svals, _, _, sgaps = _k_values(swapped, f, ts)
+        assert np.all(sgaps == 0.0)
+        expected = [t * k_exact_l1_linf(sp, f, 1.0 / float(t))[0] for t in ts]
+        assert np.allclose(svals, expected, rtol=1e-12)
+
+
+def _finite_couple(space):
+    return Couple(space=space, norm0=WeightedP(2.0), norm1=WeightedP(3.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, f, ts: profile("D", c, f, ts),
+        lambda c, f, ts: profile("D", convexify_couple(c, 2.0), f, ts),
+        lambda c, f, ts: profile("K", convexify_couple(c, 2.0), f, ts),
+        lambda c, f, ts: profile("K", _finite_couple(c.space), f, ts),
+        lambda c, f, ts: check_k_power_sandwich(c, f, 2.0, t_grid=ts),
+        lambda c, f, ts: check_d_power_sandwich(c, f, 2.0, t_grid=ts),
+        lambda c, f, ts: k_order_dominates(convexify_couple(c, 2.0), f, f[:3], ts),
+        lambda c, f, ts: k_order_dominates(convexify_couple(c, 2.0), f[:3], f, ts),
+    ],
+    ids=[
+        "profile-D",
+        "profile-D-convexified",
+        "profile-K-convexified",
+        "profile-K-finite",
+        "k-power-sandwich",
+        "d-power-sandwich",
+        "k-order-first",
+        "k-order-second",
+    ],
+)
+def test_wrong_length_vector_raises_dimension_mismatch(call):
+    couple = l1_linf_couple(_uniform(3))
+    with pytest.raises(DimensionMismatch):
+        call(couple, np.array([4.0, 3.0, 2.0, 1.0]), default_t_grid(0.1, 10.0, 5))
 
 
 def test_check_k_d_sandwich_random_instances():

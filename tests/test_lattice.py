@@ -22,7 +22,7 @@ from caldera import (
     support,
     vector,
 )
-from caldera.lattice import norm_values
+from caldera.lattice import dual_p_norm, norm_values, weighted_p_norm
 
 REL = 1e-12
 
@@ -146,6 +146,73 @@ def test_zero_vector_norm_is_zero():
     z = vector(sp, [0.0, 0.0, 0.0])
     for spec in (WeightedP(1.0), WeightedP(INF), convexify(WeightedP(1.0), 2.0)):
         assert norm(spec, z) == 0.0
+
+
+KERNEL_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 40.0, INF)
+
+
+def _direct_p_norm(w, a, p):
+    if p == INF:
+        return float(np.max(a, initial=0.0))
+    return math.fsum(w * a ** p) ** (1.0 / p)
+
+
+def test_p_norm_kernel_rows_vectors_and_direct_sum():
+    # A batch of rows and a single vector go through one kernel.  The max is
+    # exact, so at p = inf a row of a batch equals the vector bit for bit.
+    # Elsewhere numpy's vectorized power and the BLAS matrix-vector product
+    # round differently from the scalar power and dot product, so a row may
+    # differ from the lone vector in the last bits.
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        n = int(rng.integers(1, 300))
+        w = 10.0 ** rng.uniform(-1, 1, size=n)
+        rows = 10.0 ** rng.uniform(-1, 1, size=(int(rng.integers(1, 8)), n))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[0] = 0.0
+        for p in KERNEL_EXPONENTS:
+            batch = weighted_p_norm(w, rows, p)
+            assert batch.shape == (rows.shape[0],)
+            assert batch[0] == 0.0
+            for k, row in enumerate(rows):
+                single = weighted_p_norm(w, row, p)
+                if p == INF:
+                    assert batch[k] == single
+                assert batch[k] == pytest.approx(single, rel=1e-14, abs=0.0)
+                assert single == pytest.approx(
+                    _direct_p_norm(w, row, p), rel=1e-14, abs=0.0
+                )
+
+
+def _extremal(w, z, p):
+    """A vector of weighted p-norm one where Holder's inequality is an equality."""
+    if p == 1.0:
+        k = int(np.argmax(np.abs(z) / w))
+        x = np.zeros_like(z)
+        x[k] = np.sign(z[k]) / w[k]
+        return x
+    if p == INF:
+        return np.sign(z)
+    q = p / (p - 1.0)
+    y = np.sign(z) * (np.abs(z) * w ** (-1.0 / p)) ** (q - 1.0)
+    x = w ** (-1.0 / p) * y
+    return x / weighted_p_norm(w, np.abs(x), p)
+
+
+def test_dual_norm_holder_inequality_and_equality():
+    rng = np.random.default_rng(103)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        w = 10.0 ** rng.uniform(-1, 1, size=n)
+        z = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-1, 1, size=n)
+        x = rng.standard_normal(n)
+        for p in (1.0, 1.5, 2.0, 3.0, INF):
+            dual = dual_p_norm(w, z, p)
+            bound = dual * weighted_p_norm(w, np.abs(x), p)
+            assert abs(float(np.dot(z, x))) <= bound * (1.0 + 1e-12)
+            xe = _extremal(w, z, p)
+            assert weighted_p_norm(w, np.abs(xe), p) == pytest.approx(1.0, rel=1e-12)
+            assert float(np.dot(z, xe)) == pytest.approx(dual, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

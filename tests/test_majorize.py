@@ -29,7 +29,7 @@ def _uniform(n):
     return MeasureSpace(np.ones(n))
 
 
-def oracle_prefix_integral(weights, values, t):
+def oracle_rearrangement_integral(weights, values, t):
     """Step-function integral of the weighted rearrangement up to mass t."""
     order = np.argsort(-np.abs(values), kind="stable")
     total = 0.0
@@ -82,8 +82,8 @@ def test_weighted_weak_submajorizes_matches_integral_oracle():
         claimed = weighted_weak_submajorizes(sp, f, g)
         ts = np.linspace(1e-6, float(np.sum(sp.weights)), 400)
         holds = all(
-            oracle_prefix_integral(sp.weights, f, t)
-            >= oracle_prefix_integral(sp.weights, g, t) * (1 - 1e-9)
+            oracle_rearrangement_integral(sp.weights, f, t)
+            >= oracle_rearrangement_integral(sp.weights, g, t) * (1 - 1e-9)
             for t in ts
         )
         assert claimed == holds
