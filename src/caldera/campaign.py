@@ -29,7 +29,6 @@ from .extend import (
 )
 from .instances import generate_instance, orchestration_rng, payload_rng
 from .kfunc import (
-    D_EXACT_MAX_N,
     check_d_power_sandwich,
     check_k_d_sandwich,
     check_k_power_sandwich,
@@ -48,7 +47,6 @@ VALID_SUITES = (
     "lift-greedy",
     "lattice-props",
 )
-D_BASED_SUITES = frozenset({"sandwich", "claim1"})
 P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder", "lift-greedy"})
 CSV_COLUMNS = (
     "suite",
@@ -89,11 +87,6 @@ class CampaignConfig:
         for p in self.p_set:
             if not (1.0 < p < INF):
                 raise DomainError(f"p_set values must lie in (1, inf), got {p}")
-        if D_BASED_SUITES & set(self.suites) and self.n_max > D_EXACT_MAX_N:
-            raise DomainError(
-                f"n_max must stay at or below {D_EXACT_MAX_N} when an exhaustive "
-                f"suite is enabled"
-            )
         self.grid()  # default_t_grid rejects a bad t_grid
 
     def grid(self) -> np.ndarray:

@@ -17,7 +17,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(ValueError):
-    """Input size exceeds the cap of an exact (exhaustive) algorithm."""
+    """Input size exceeds the cap of an exact algorithm."""
 
 
 class NumericalFailure(RuntimeError):

@@ -29,6 +29,7 @@ from .lattice import (
     dual_p_norm,
     is_l1_linf,
     norm_values,
+    values_of,
     vector,
 )
 from .majorize import MatrixOperator, construct_positive_operator
@@ -78,8 +79,7 @@ class SublinearMajorant:
 
 def apply_majorant(majorant: SublinearMajorant, h) -> LatticeVector:
     space = majorant.operator.space
-    hv = np.asarray(h, dtype=float)
-    powered = majorant.alpha * np.abs(hv) ** majorant.p
+    powered = majorant.alpha * np.abs(values_of(h)) ** majorant.p
     out = majorant.operator.apply(powered) ** (1.0 / majorant.p)
     return vector(space, out)
 
@@ -112,8 +112,8 @@ def check_minkowski(
         raise DomainError("positivity of the operator is required")
     if not (1.0 < p < INF):
         raise DomainError("exponent must lie in (1, inf)")
-    a = np.asarray(h1, dtype=float)
-    b = np.asarray(h2, dtype=float)
+    a = values_of(h1)
+    b = values_of(h2)
     lhs = operator.apply(np.abs(a + b) ** p) ** (1.0 / p)
     rhs = operator.apply(np.abs(a) ** p) ** (1.0 / p) + operator.apply(
         np.abs(b) ** p
@@ -186,7 +186,7 @@ def holder_extension_row(
     A dual-seminorm evaluation on the row support certifies |l(h)| <= H_i(h);
     overshoot up to ROW_RESCALE_TOL is scaled away, beyond it the row fails.
     """
-    fv = np.asarray(f, dtype=float)
+    fv = values_of(f)
     n = majorant.operator.space.n
     if fv.shape != (n,):
         raise DomainError("vector length does not match the operator space")
@@ -318,9 +318,11 @@ def lift_operator(
         alpha = default_alpha(p)
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise DomainError("alpha must be a positive real")
+    if audit_samples < 1:
+        raise DomainError(f"need at least one audit sample, got {audit_samples}")
     space = couple.space
-    fv = np.asarray(f, dtype=float)
-    gv = np.asarray(g, dtype=float)
+    fv = values_of(f)
+    gv = values_of(g)
     if fv.shape != (space.n,) or gv.shape != (space.n,):
         raise DomainError("vectors must match the atom count of the couple")
 
@@ -365,8 +367,10 @@ def verify_lift(
     seed: int = 1,
 ) -> VerifyReport:
     """Recompute every lift certificate from scratch on a fresh sample set."""
-    fv = np.asarray(f, dtype=float)
-    gv = np.asarray(g, dtype=float)
+    if samples < 1:
+        raise DomainError(f"need at least one audit sample, got {samples}")
+    fv = values_of(f)
+    gv = values_of(g)
     residual, viol, ratios = _audit_lift(
         result.operator, majorant, fv, gv, couple_p, samples, seed
     )

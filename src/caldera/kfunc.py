@@ -13,7 +13,8 @@ Three computational routes live here:
 * a general numerical solver over sign-compatible dominated splittings
   (1-d search over truncation levels when one exponent is infinite,
   projected gradient over the box otherwise),
-* exhaustive enumeration of the 2^n disjoint splittings for D.
+* D as the best of the 2(n+1) disjoint splits that put the bottom k or the
+  top n - k moduli in slot 0, exact on every couple.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.
@@ -26,12 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    InternalConsistencyError,
-    NumericalFailure,
-)
+from .errors import DomainError, InternalConsistencyError, NumericalFailure
 from .lattice import (
     INF,
     Couple,
@@ -47,8 +43,6 @@ from .lattice import (
     weighted_p_norm,
 )
 from .majorize import rearrangement_integral, weighted_weak_submajorizes
-
-D_EXACT_MAX_N = 22
 
 # relative accuracy contract of the numerical K solver
 SOLVER_REL_GAP = 1e-6
@@ -124,11 +118,6 @@ def _split_from_modulus(space: MeasureSpace, fv: np.ndarray, u: np.ndarray) -> D
 # ---------------------------------------------------------------------------
 # exact route on (l1, linf)
 # ---------------------------------------------------------------------------
-
-
-def require_l1_linf(couple: Couple):
-    if not is_l1_linf(couple):
-        raise DomainError("operation requires the (l1, linf) couple")
 
 
 def k_exact_l1_linf(space: MeasureSpace, f, t: float):
@@ -367,66 +356,64 @@ def k_numeric(couple: Couple, f, t: float):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive disjoint route
+# disjoint route
 # ---------------------------------------------------------------------------
 
 
-def _subset_norms(w: np.ndarray, fv: np.ndarray, p: float) -> np.ndarray:
-    """Norm of f restricted to every subset of atoms, indexed by bitmask."""
-    n = fv.size
-    out = np.zeros(1 << n)
-    a = np.abs(fv)
+def _threshold_norms(w: np.ndarray, s: np.ndarray, p: float):
+    """Norms of s[:k] and of s[k:], k = 0..n, for ascending moduli s."""
     if p == INF:
-        for b in range(n):
-            size = 1 << b
-            out[size : 2 * size] = np.maximum(out[:size], a[b])
-        return out
-    x = w * a ** p
-    for b in range(n):
-        size = 1 << b
-        out[size : 2 * size] = out[:size] + x[b]
+        low = np.concatenate([[0.0], s])
+        high = np.concatenate([np.full(s.size, s[-1]), [0.0]])
+        return low, high
+    # unscaled power sums: factoring out the max underflows small prefixes
+    x = w * s ** p
+    low = np.concatenate([[0.0], np.cumsum(x)])
+    high = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
     if p == 1.0:
-        return out
-    return out ** (1.0 / p)
+        return low, high
+    return low ** (1.0 / p), high ** (1.0 / p)
 
 
-def _d_tables(couple: Couple, fv: np.ndarray):
-    n = fv.size
-    if n > D_EXACT_MAX_N:
-        raise CapacityError(f"exhaustive splitting enumeration capped at n = {D_EXACT_MAX_N}")
+def _d_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
+    """D over a grid as the best of the 2(n+1) threshold splits.
+
+    Both norms are weighted p-norms.  With a sup side, lattice monotonicity
+    sends every atom at or below the sup level to that side.  With both
+    exponents finite the objective is concave in a relaxed split
+    lambda in [0, 1]^n and depends on it through two linear forms, so it is
+    minimal at a vertex of their 2-d image, which puts the atoms with
+    c1 |f_i|^(p0 - p1) > c2 on one side.  Either way slot 0 holds the bottom
+    k or the top n - k moduli for some k.  Returns values, split norms and,
+    per t, the mask of atoms in slot 0.
+    """
     p0, p1 = _exponents(couple)
-    w = couple.space.weights
-    a_table = _subset_norms(w, fv, p0)
-    b_table = _subset_norms(w, fv, p1)[::-1]  # complement lookup
-    return a_table, b_table
+    a = np.abs(fv)
+    order = np.argsort(a, kind="stable")
+    w, s = couple.space.weights[order], a[order]
+    low0, high0 = _threshold_norms(w, s, p0)
+    low1, high1 = _threshold_norms(w, s, p1)
+    # candidate k <= n: slot 0 takes the bottom k; k > n: the top 2n + 1 - k
+    a0_cand = np.concatenate([low0, high0])
+    a1_cand = np.concatenate([high1, low1])
+    best = np.argmin(a0_cand[None, :] + ts[:, None] * a1_cand[None, :], axis=1)
+    a0n, a1n = a0_cand[best], a1_cand[best]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(a.size)
+    cut = (best % (a.size + 1))[:, None]
+    keep = np.where((best <= a.size)[:, None], rank < cut, rank >= cut)
+    return a0n + ts * a1n, a0n, a1n, keep
 
 
 def d_exact(couple: Couple, f, t: float):
-    """Exact D(t, f) by enumerating all disjoint splittings."""
+    """Exact D(t, f) with an optimal disjoint splitting."""
     t = _positive_t(t)
     fv = values_of(f, couple.space.n)
-    a_table, b_table = _d_tables(couple, fv)
-    totals = a_table + t * b_table
-    mask = int(np.argmin(totals))
-    keep = np.array([(mask >> i) & 1 for i in range(fv.size)], dtype=bool)
-    a0 = np.where(keep, fv, 0.0)
-    a1 = np.where(keep, 0.0, fv)
+    values, _, _, keep = _d_values(couple, fv, np.array([t]))
+    a0 = np.where(keep[0], fv, 0.0)
+    a1 = np.where(keep[0], 0.0, fv)
     dec = Decomposition(a0=vector(couple.space, a0), a1=vector(couple.space, a1))
-    return float(totals[mask]), dec
-
-
-def _d_batch(couple: Couple, fv: np.ndarray, ts: np.ndarray):
-    a_table, b_table = _d_tables(couple, fv)
-    values = np.empty_like(ts)
-    a0n = np.empty_like(ts)
-    a1n = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        totals = a_table + t * b_table
-        mask = int(np.argmin(totals))
-        values[i] = totals[mask]
-        a0n[i] = a_table[mask]
-        a1n[i] = b_table[mask]
-    return values, a0n, a1n
+    return float(values[0]), dec
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +502,7 @@ def profile(kind: str, couple: Couple, f, t_grid, validate: bool = True) -> KPro
     if kind == "K":
         vals, a0n, a1n, gaps = _k_values(couple, fv, ts)
     else:
-        vals, a0n, a1n = _d_batch(couple, fv, ts)
+        vals, a0n, a1n, _ = _d_values(couple, fv, ts)
         gaps = np.zeros_like(ts)
     prof = KProfile(
         kind=kind, t_grid=ts, values=vals, a0_norms=a0n, a1_norms=a1n, gaps=gaps
@@ -598,8 +585,8 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol, solver_slack):
     conv = convexify_couple(couple, p)
     ts_root = ts ** (1.0 / p)
     if kind == "D":
-        base_vals, _, _ = _d_batch(couple, powered, ts)
-        conv_vals, _, _ = _d_batch(conv, fv, ts_root)
+        base_vals = _d_values(couple, powered, ts)[0]
+        conv_vals = _d_values(conv, fv, ts_root)[0]
         base_gap = np.zeros_like(ts)
         conv_gap = np.zeros_like(ts)
     else:

@@ -78,15 +78,14 @@ def vector(space: MeasureSpace, values) -> LatticeVector:
 
 
 def values_of(f, n: int | None = None) -> np.ndarray:
-    """Float entries of a vector or a 1-d array, checked against n atoms."""
-    if isinstance(f, LatticeVector):
-        arr = np.asarray(f.values, dtype=float)
-    else:
-        arr = np.asarray(f, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionMismatch("expected a 1-d vector")
+    """Finite float entries of a vector or a 1-d array, checked against n atoms."""
+    arr = np.asarray(f.values if isinstance(f, LatticeVector) else f, dtype=float)
+    if arr.ndim != 1:
+        raise DimensionMismatch("expected a 1-d vector")
     if n is not None and arr.size != n:
         raise DimensionMismatch("vector length does not match atom count")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("vector entries must be finite")
     return arr
 
 

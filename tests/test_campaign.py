@@ -77,8 +77,8 @@ def test_parse_config_rejects_unknown_keys_and_suites():
         parse_config("suites = sandwich, quux")
     with pytest.raises(DomainError):
         parse_config("p_set = 1.0")
-    with pytest.raises(DomainError):
-        parse_config("suites = claim1\nn_min = 2\nn_max = 30")
+    # no enumeration cap on D-based suites any more: this now parses
+    assert parse_config("suites = claim1\nn_min = 2\nn_max = 30").n_max == 30
     with pytest.raises(DomainError):
         parse_config("t_grid = linear:0,1,5")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from caldera import generate_instance, k_exact_l1_linf, save_instance
+from caldera.instances import instance_to_json
 from caldera.cli import main
 
 
@@ -138,3 +139,40 @@ def test_cli_rejects_lift_without_partner(tmp_path):
         ["lift", "--instance", str(path), "--out", str(tmp_path / "out.json")]
     )
     assert code == 1
+
+
+def test_d_campaign_past_the_former_cap_exits_zero(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "seed = 8\ninstance_count = 3\nn_min = 64\nn_max = 64\n"
+        "suites = sandwich, claim1\n"
+    )
+    report = tmp_path / "report.csv"
+    code = main(["campaign", "--config", str(cfg), "--report", str(report)])
+    assert code == 0
+    rows = list(csv.DictReader(open(report)))
+    assert len(rows) == 3 + 3 * 3 + 1
+    assert all(r["error"] == "" for r in rows)
+    assert all(r["n"] == "64" for r in rows[:-1])
+    assert rows[-1]["violations"] == "0"
+
+
+def test_cli_rejects_non_finite_instance_entries(tmp_path, capsys):
+    inst = generate_instance(17, 5, p=2.0, k_ordered=True)
+    data = instance_to_json(inst)
+    data["f"][2] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code = main(["kprofile", "--instance", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error: vector entries must be finite" in capsys.readouterr().err
+
+
+def test_cli_lift_rejects_zero_audit_samples(tmp_path, capsys, ordered_instance):
+    _, path = ordered_instance
+    code = main(
+        ["lift", "--instance", path, "--audit-samples", "0",
+         "--out", str(tmp_path / "lift.json")]
+    )
+    assert code == 1
+    assert "error: need at least one audit sample" in capsys.readouterr().err

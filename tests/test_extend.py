@@ -19,6 +19,7 @@ from caldera.extend import (
     lift_operator,
     verify_lift,
 )
+from caldera.kfunc import check_k_d_sandwich, d_exact, default_t_grid, profile
 from caldera.lattice import convexify_couple, norm, vector
 from caldera.majorize import MatrixOperator, construct_positive_operator
 
@@ -385,3 +386,63 @@ def test_lift_greedy_pinned_pair_certifies():
     conv = convexify_couple(inst.couple, 3.0)
     report = verify_lift(result, result.majorant, inst.f, inst.g, conv)
     assert report.ok, report
+
+
+def _non_finite_entry_points():
+    couple = base_couple(3)
+    H = _identity_majorant(3, alpha=2.0, p=2.0)
+    f, g = np.array([4.0, 2.0, 1.0]), np.array([2.0, 1.0, 0.5])
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=50)
+    conv = convexify_couple(couple, 2.0)
+    ts = default_t_grid()
+    return {
+        "check_k_d_sandwich": lambda h: check_k_d_sandwich(couple, h),
+        "profile_K": lambda h: profile("K", couple, h, ts),
+        "profile_D": lambda h: profile("D", couple, h, ts),
+        "d_exact": lambda h: d_exact(couple, h, 1.0),
+        "construct_positive_operator": lambda h: construct_positive_operator(
+            couple.space, np.abs(h), g
+        ),
+        "lift_operator": lambda h: lift_operator(couple, h, g, 2.0),
+        "verify_lift": lambda h: verify_lift(lift, lift.majorant, h, g, conv),
+        "holder_extension_row": lambda h: holder_extension_row(H, h, 1.0, 0),
+        "apply_majorant": lambda h: apply_majorant(H, h),
+        "check_minkowski": lambda h: check_minkowski(H.operator, h, f, 2.0),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "apply_majorant",
+        "check_k_d_sandwich",
+        "check_minkowski",
+        "construct_positive_operator",
+        "d_exact",
+        "holder_extension_row",
+        "lift_operator",
+        "profile_D",
+        "profile_K",
+        "verify_lift",
+    ],
+)
+def test_non_finite_entries_raise_domain_error(name, bad):
+    call = _non_finite_entry_points()[name]
+    with pytest.raises(DomainError, match="finite"):
+        call(np.array([bad, 1.0, 2.0]))
+
+
+def test_audit_sample_counts_are_checked_up_front():
+    couple = base_couple(2)
+    # the unordered pair would fail the ordering precondition later on
+    for count in (0, -3):
+        with pytest.raises(DomainError, match="audit sample"):
+            lift_operator(couple, [1.0, 1.0], [5.0, 5.0], 2.0, audit_samples=count)
+    f, g = np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    result = lift_operator(couple, f, g, 2.0, audit_samples=1)
+    conv = convexify_couple(couple, 2.0)
+    assert verify_lift(result, result.majorant, f, g, conv, samples=1).ok
+    for count in (0, -1):
+        with pytest.raises(DomainError, match="audit sample"):
+            verify_lift(result, result.majorant, f, g, conv, samples=count)

@@ -9,7 +9,6 @@ from scipy.optimize import minimize
 
 from caldera import (
     INF,
-    CapacityError,
     Couple,
     DimensionMismatch,
     DomainError,
@@ -337,10 +336,62 @@ def test_d_exact_matches_subset_oracle():
 def test_d_exact_capacity_and_domain_errors():
     sp = _uniform(23)
     couple = l1_linf_couple(sp)
-    with pytest.raises(CapacityError):
-        d_exact(couple, np.ones(23), 1.0)
+    # past the former n = 22 enumeration cap, D now evaluates
+    value, _ = d_exact(couple, np.ones(23), 1.0)
+    assert value == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(DomainError):
         d_exact(l1_linf_couple(_uniform(2)), [1.0, 2.0], 0.0)
+
+
+D_EXPONENTS = (1.0, 1.01, 1.5, 2.0, 3.0, 6.0, 40.0, INF)
+
+
+def test_threshold_d_matches_subset_oracle_on_every_exponent_pair():
+    # the 2(n+1) threshold splits are exact on every couple, finite pairs
+    # and convexified couples included
+    rng = np.random.default_rng(47)
+    ts = (0.05, 0.8, 3.0, 40.0)
+    for i, (p0, p1) in enumerate(itertools.product(D_EXPONENTS, repeat=2)):
+        n = 1 if i % 8 == 0 else int(rng.integers(2, 7))
+        sp = MeasureSpace(10.0 ** rng.uniform(-3, 3, size=n))
+        f = _rand_f(rng, n)
+        if n > 2:
+            f[0] = 0.0
+            f[1] = -f[2]  # a tie in modulus
+        couple = Couple(space=sp, norm0=WeightedP(p0), norm1=WeightedP(p1))
+        if i % 3 == 0:
+            couple = convexify_couple(couple, float(rng.choice([1.5, 2.0, 3.0])))
+        prof = profile("D", couple, f, ts, validate=False)
+        for t, from_profile in zip(ts, prof.values):
+            expected = oracle_d_subsets(couple, f, t)
+            value, dec = d_exact(couple, f, t)
+            assert value == pytest.approx(expected, rel=1e-12)
+            assert from_profile == pytest.approx(expected, rel=1e-12)
+            assert dec.is_disjoint()
+            assert check_decomposition(f, dec)
+
+
+def test_d_exact_needs_lower_threshold_sets():
+    # on (l2, l1) the best split puts the two small atoms in slot 0; a route
+    # that kept only upper sets would miss it
+    couple = Couple(space=_uniform(3), norm0=WeightedP(2.0), norm1=WeightedP(1.0))
+    value, dec = d_exact(couple, [1.0, 1.0, 10.0], 0.8)
+    assert value == pytest.approx(math.sqrt(2.0) + 8.0, rel=1e-15)
+    assert np.array_equal(dec.a0.values, [1.0, 1.0, 0.0])
+    assert np.array_equal(dec.a1.values, [0.0, 0.0, 10.0])
+
+
+@pytest.mark.parametrize("n", [23, 200])
+def test_d_between_k_and_2k_past_the_former_cap(n):
+    rng = np.random.default_rng(n)
+    sp = _rand_space(rng, n)
+    couple = l1_linf_couple(sp)
+    f = _rand_f(rng, n)
+    ts = default_t_grid()
+    dvals = profile("D", couple, f, ts).values
+    kvals = np.array([k_exact_l1_linf(sp, f, float(t))[0] for t in ts])
+    assert np.all(dvals >= kvals * (1 - 1e-12))
+    assert np.all(dvals <= 2.0 * kvals * (1 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
