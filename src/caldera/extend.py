@@ -256,10 +256,11 @@ def _require_k_ordering(conv: Couple, f: np.ndarray, g: np.ndarray) -> None:
     tol = slack + prof_f.gaps + prof_g.gaps
     bad = np.flatnonzero(prof_g.values > prof_f.values + tol)
     if bad.size:
-        t = float(ts[bad[0]])
+        i = int(bad[0])
         raise DomainError(
-            f"pair is not ordered on the convexified couple: at t={t:.6g} the "
-            f"second profile exceeds the first"
+            f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, "
+            f"K(t, g) = {prof_g.values[i]:.17g} exceeds K(t, f) = "
+            f"{prof_f.values[i]:.17g} by more than the tolerance {tol[i]:.3e}"
         )
 
 

@@ -11,8 +11,9 @@ Three computational routes live here:
   rearrangement (the profile is piecewise linear in t; the integral itself
   is :func:`caldera.majorize.rearrangement_integral`),
 * a general numerical solver over sign-compatible dominated splittings
-  (1-d search over truncation levels when one exponent is infinite,
-  projected gradient over the box otherwise),
+  (a Newton solve for the optimal truncation level, certified by a dual
+  pairing, when one exponent is infinite; projected gradient over the box
+  otherwise),
 * D as the best of the 2(n+1) disjoint splits that put the bottom k or the
   top n - k moduli in slot 0, exact on every couple.
 
@@ -48,6 +49,11 @@ from .majorize import rearrangement_integral, weighted_weak_submajorizes
 SOLVER_REL_GAP = 1e-6
 SOLVER_MAX_ITER = 100_000
 
+# certified relative gap at which the truncation-level solve stops, and its
+# iteration cap
+TRUNCATION_REL_GAP = 1e-15
+TRUNCATION_MAX_ITER = 200
+
 # profile and sandwich comparisons
 PROFILE_TOL = 1e-9
 SANDWICH_TOL = 1e-9
@@ -55,17 +61,21 @@ ORDER_GRID_SLACK = 1e-9
 
 
 def default_t_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 61) -> np.ndarray:
-    if not (0.0 < lo < hi) or count < 2:
-        raise DomainError("need 0 < lo < hi and at least two grid points")
+    if not (0.0 < lo < hi < INF) or count < 2:
+        raise DomainError("need finite 0 < lo < hi and at least two grid points")
     return np.geomspace(lo, hi, count)
 
 
 def parse_t_grid(spec: str) -> tuple:
     """(lo, hi, count) from a ``geometric:lo,hi,count`` grid spec."""
-    if not spec.startswith("geometric:"):
-        raise DomainError("t grid must look like geometric:lo,hi,count")
-    lo, hi, count = spec[len("geometric:") :].split(",")
-    return float(lo), float(hi), int(count)
+    kind, _, body = spec.partition(":")
+    try:
+        lo, hi, count = body.split(",")
+        if kind == "geometric":
+            return float(lo), float(hi), int(count)
+    except ValueError:
+        pass
+    raise DomainError(f"t grid must look like geometric:lo,hi,count, got {spec!r}")
 
 
 def _positive_t(t) -> float:
@@ -78,6 +88,8 @@ def _as_grid(t_grid) -> np.ndarray:
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("t grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("t grid entries must be finite")
     if np.any(ts <= 0.0) or np.any(np.diff(ts) <= 0.0):
         raise DomainError("t grid must be strictly increasing and positive")
     return ts
@@ -139,77 +151,83 @@ def k_exact_l1_linf(space: MeasureSpace, f, t: float):
 # ---------------------------------------------------------------------------
 
 
-def _golden_min_batch(fun, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
-    """Vectorized golden-section minimization of convex 1-d objectives.
+def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
+    """K over a grid on a couple whose second norm is sup, for moduli ``a``.
 
-    Returns the best points, their values and a convexity-based bound on the
-    remaining gap to the true minimum of each objective over [lo, hi].
+    K(t) is the minimum over sup levels c in [0, max a] of the convex
+    phi(c) = ||(a - c)_+||_{p0} + t c, whose slope is t - s(c) with s(c) the
+    nonincreasing l1 mass of the norm's gradient.  So c = 0 when s(0) <= t,
+    c = max a when t <= s(max a-) = (weight of the top atoms)^(1/p0), and
+    otherwise s(c) = t, solved by Newton steps that bisect when they leave a
+    bracket s(lo) > t >= s(hi).  The certificate is the dual pairing: a z >= 0
+    with dual norm <= 1 and sum z <= t gives K >= <z, a>, and the gradient
+    at c pairs with a to N(c) + c s(c).  Scaled end gradients settle the end
+    cases; the mix of the bracket-end gradients with mass t, the rest.
+
+    Returns values, levels c, split norms N(c) and certified gaps.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = 1.0 - invphi
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    x1 = a + invphi2 * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = fun(x1)
-    f2 = fun(x2)
-    fa = fun(a)
-    fb = fun(b)
-    for _ in range(iters):
-        take = f1 < f2
-        new_a = np.where(take, a, x1)
-        new_b = np.where(take, x2, b)
-        fa = np.where(take, fa, f1)
-        fb = np.where(take, f2, fb)
-        h = new_b - new_a
-        probe = np.where(take, new_a + invphi2 * h, new_a + invphi * h)
-        fp = fun(probe)
-        new_x1 = np.where(take, probe, x2)
-        new_f1 = np.where(take, fp, f2)
-        new_x2 = np.where(take, x1, probe)
-        new_f2 = np.where(take, f1, fp)
-        a, b, x1, x2, f1, f2 = new_a, new_b, new_x1, new_x2, new_f1, new_f2
-
-    xs = np.stack([a, x1, x2, b])
-    fs = np.stack([fa, f1, f2, fb])
-    pick = np.argmin(fs, axis=0)
-    idx = np.arange(a.size)
-    best_x = xs[pick, idx]
-    best_f = fs[pick, idx]
-    # chord-slope certificate: a convex objective cannot dip below the
-    # linearizations drawn from the final bracket
-    width_l = np.maximum(best_x - a, 0.0)
-    width_r = np.maximum(b - best_x, 0.0)
-    slope_l = np.where(width_l > 0.0, (best_f - fa) / np.where(width_l > 0, width_l, 1.0), 0.0)
-    slope_r = np.where(width_r > 0.0, (fb - best_f) / np.where(width_r > 0, width_r, 1.0), 0.0)
-    gap = np.maximum(
-        np.maximum(0.0, slope_r) * width_l, np.maximum(0.0, -slope_l) * width_r
-    )
-    gap = gap + 1e-14 * np.abs(best_f)
-    return best_x, best_f, gap
-
-
-def _k_truncation_batch(w: np.ndarray, fv: np.ndarray, p0: float, ts: np.ndarray):
-    """Numerical K for couples whose second exponent is infinite.
-
-    For any lattice norm on the first slot the best splitting at a given
-    sup-level c keeps |a0| = (|f| - c)_+, so K reduces to a convex
-    minimization over the single truncation level.
-    """
-    a = np.abs(fv)
-    top = float(np.max(a, initial=0.0))
+    top = float(a.max(initial=0.0))
     if top == 0.0:
-        z = np.zeros_like(ts)
-        return z, z.copy(), z.copy()
+        zero = np.zeros_like(ts)
+        return zero, zero.copy(), zero.copy(), zero.copy()
 
-    def objective(cs: np.ndarray) -> np.ndarray:
-        excess = np.maximum(a[None, :] - cs[:, None], 0.0)
-        return weighted_p_norm(w, excess, p0) + ts * cs
+    def at(x: np.ndarray):
+        # N, s and s' at levels x < top, each excess scaled by the largest;
+        # an overflowing e^(p0-2) or p0 in {1, inf} leaves s' non-finite or
+        # zero, which only turns the next step into a bisection
+        m = top - x
+        e = np.maximum(a - x[:, None], 0.0) / m[:, None]
+        r = np.power(e, p0 - 1.0, out=np.zeros_like(e), where=e > 0.0)
+        s1, sp = r @ w, (r * e) @ w
+        q = sp ** (1.0 / p0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2 = np.divide(r, e, out=np.zeros_like(e), where=e > 0.0) @ w
+            ds = (1.0 - p0) * (s2 - s1 * s1 / sp) * q / sp / m
+        return m * q, s1 * q / sp, ds
 
-    lo = np.zeros_like(ts)
-    hi = np.full_like(ts, top)
-    best_c, best_f, gap = _golden_min_batch(objective, lo, hi)
-    return best_f, best_c, gap
+    n0, s0, ds0 = (float(v[0]) for v in at(np.zeros(1)))
+    s_top = float(w[a == top].sum()) ** (1.0 / p0)
+    at_zero = n0 <= ts * top
+    best = np.where(at_zero, n0, ts * top)
+    levels = np.where(at_zero, 0.0, top)
+    a0n = np.where(at_zero, n0, 0.0)
+    lower = np.maximum(np.minimum(1.0, ts / s0) * n0, np.minimum(s_top, ts) * top)
+    # bracket ends: row 0 has s > t, row 1 has s <= t; end_l is N + c s
+    end_c = np.stack([np.zeros_like(ts), np.full_like(ts, top)])
+    end_s = np.stack([np.full_like(ts, s0), np.full_like(ts, s_top)])
+    end_l = np.stack([np.full_like(ts, n0), np.full_like(ts, top * s_top)])
+    x, s_x, ds_x = np.zeros_like(ts), np.full_like(ts, s0), np.full_like(ts, ds0)
+    for _ in range(TRUNCATION_MAX_ITER):
+        i = np.flatnonzero(best - lower > TRUNCATION_REL_GAP * best)
+        lo, hi = end_c[0, i], end_c[1, i]
+        with np.errstate(over="ignore"):
+            xi = x[i] - (s_x[i] - ts[i]) / np.where(ds_x[i] < 0.0, ds_x[i], np.nan)
+        xi = np.where((lo < xi) & (xi < hi), xi, 0.5 * (lo + hi))
+        room = (lo < xi) & (xi < hi)  # false once the bracket is one ulp wide
+        i, xi = i[room], xi[room]
+        if i.size == 0:
+            break
+        n_i, s_i, ds_i = at(xi)
+        phi = n_i + ts[i] * xi
+        better = phi < best[i]
+        j = i[better]
+        best[j], levels[j], a0n[j] = phi[better], xi[better], n_i[better]
+        side = (s_i <= ts[i]).astype(np.intp)
+        end_c[side, i], end_s[side, i], end_l[side, i] = xi, s_i, n_i + xi * s_i
+        x[i], s_x[i], ds_x[i] = xi, s_i, ds_i
+        mix = (ts[i] - end_s[1, i]) / (end_s[0, i] - end_s[1, i])
+        lower[i] = np.maximum(lower[i], mix * end_l[0, i] + (1.0 - mix) * end_l[1, i])
+
+    gaps = np.maximum(best - lower, 0.0)
+    bad = np.flatnonzero(gaps > SOLVER_REL_GAP * best)
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalFailure(
+            f"K solve at t = {ts[j]:.6g} stopped at {best[j]:.6g} with gap {gaps[j]:.3e}",
+            best_value=float(best[j]),
+            gap=float(gaps[j]),
+        )
+    return best, levels, a0n, gaps
 
 
 def _pgd_box(
@@ -314,7 +332,7 @@ def _pgd_box(
     if gap <= rel_gap * max(best_f, 1e-300):
         return best_f, best_u, gap
     raise NumericalFailure(
-        f"projected gradient stopped with gap {gap:.3e} above target",
+        f"projected gradient stopped at t = {t:.6g} with gap {gap:.3e} above target",
         best_value=best_f,
         gap=gap,
     )
@@ -332,8 +350,9 @@ def _k_numeric_full(couple: Couple, f, t: float):
     p0, p1 = _exponents(couple)
 
     if p1 == INF:
-        vals, cs, gaps = _k_truncation_batch(w, fv, p0, np.array([t]))
-        u = np.maximum(np.abs(fv) - float(cs[0]), 0.0)
+        a = np.abs(fv)
+        vals, levels, _, gaps = _k_truncation(w, a, p0, np.array([t]))
+        u = np.maximum(a - float(levels[0]), 0.0)
         return float(vals[0]), _split_from_modulus(space, fv, u), float(gaps[0])
 
     if p0 == INF:
@@ -452,8 +471,8 @@ def _validate_profile(prof: KProfile, tol: float = PROFILE_TOL):
 def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     """K over a grid, picking the fastest applicable route.
 
-    (l1, sup) takes the closed form, a sup side otherwise the truncation
-    search, and finite pairs the projected gradient.  Returns values, split
+    (l1, sup) takes the closed form, a sup side otherwise the truncation-level
+    solve, and finite pairs the projected gradient.  Returns values, split
     norms and certified gaps (zero for the closed form).
     """
     space = couple.space
@@ -464,32 +483,17 @@ def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
         if p0 == 1.0:
             vals, levels, a0n = rearrangement_integral(w, a, ts)
             return vals, a0n, levels, np.zeros_like(ts)
-        vals, cs, gaps = _k_truncation_batch(w, fv, p0, ts)
-        excess = np.maximum(a[None, :] - cs[:, None], 0.0)
-        a0n = weighted_p_norm(w, excess, p0)
-        a1n = np.minimum(float(np.max(a, initial=0.0)), cs)
-        return vals, a0n, a1n, gaps
+        vals, levels, a0n, gaps = _k_truncation(w, a, p0, ts)
+        return vals, a0n, levels, gaps
     if p0 == INF:
         swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
         vals, a0n, a1n, gaps = _k_values(swapped, fv, (1.0 / ts)[::-1])
         return ts * vals[::-1], a1n[::-1].copy(), a0n[::-1], ts * gaps[::-1]
-    vals = np.empty_like(ts)
-    a0n = np.empty_like(ts)
-    a1n = np.empty_like(ts)
-    gaps = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        try:
-            value, dec, gap = _k_numeric_full(couple, fv, float(t))
-        except NumericalFailure as exc:
-            raise NumericalFailure(
-                f"K solver failed at t = {t}: {exc}",
-                best_value=exc.best_value,
-                gap=exc.gap,
-            ) from exc
-        vals[i] = value
-        a0n[i] = norm(couple.norm0, dec.a0)
-        a1n[i] = norm(couple.norm1, dec.a1)
-        gaps[i] = gap
+    rows = []
+    for t in ts:
+        value, dec, gap = _k_numeric_full(couple, fv, float(t))
+        rows.append((value, norm(couple.norm0, dec.a0), norm(couple.norm1, dec.a1), gap))
+    vals, a0n, a1n, gaps = np.array(rows).T
     return vals, a0n, a1n, gaps
 
 
@@ -541,8 +545,7 @@ def check_k_d_sandwich(couple: Couple, f, t_grid=None, rel_tol: float = SANDWICH
             violations.append((float(t), "D below K", float(kv[i] - dv[i])))
         if dv[i] > 2.0 * kv[i] + 2.0 * slack[i]:
             violations.append((float(t), "D above 2K", float(dv[i] - 2.0 * kv[i])))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(kv > 0.0, dv / np.where(kv > 0, kv, 1.0), 1.0)
+    ratios = np.where(kv > 0.0, dv / np.where(kv > 0, kv, 1.0), 1.0)
     return SandwichReport(
         ok=not violations,
         t_grid=ts,
@@ -612,8 +615,7 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol, solver_slack):
             flags.append((float(t), float(worst)))
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(middle))):
         violations.append((float("nan"), "non-finite value", math.inf))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(lower > 0.0, middle / scale, 1.0)
+    ratios = np.where(lower > 0.0, middle / scale, 1.0)
     return PowerSandwichReport(
         ok=not violations,
         kind=kind,

@@ -20,10 +20,6 @@ from .errors import DimensionMismatch, DomainError
 
 INF = math.inf
 
-# comparison tolerances for norm axioms and identity checks
-REL_TOL = 1e-12
-ABS_FLOOR = 1e-15
-
 
 def _as_readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)

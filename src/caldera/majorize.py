@@ -26,8 +26,6 @@ from .lattice import MeasureSpace, NormSpec, norm_values, values_of
 
 MAX_OPERATOR_SIZE = 256
 
-# doubly stochastic rows/columns and entry bounds
-STOCHASTIC_TOL = 1e-12
 # residual ||S fstar - h|| and ||T f - g|| relative to the target scale
 RESIDUAL_TOL = 1e-10
 

@@ -81,6 +81,12 @@ def test_parse_config_rejects_unknown_keys_and_suites():
     assert parse_config("suites = claim1\nn_min = 2\nn_max = 30").n_max == 30
     with pytest.raises(DomainError):
         parse_config("t_grid = linear:0,1,5")
+    for spec in ("geometric:1e-3,inf,5", "geometric:nan,1,5"):
+        with pytest.raises(DomainError, match="finite"):
+            parse_config(f"t_grid = {spec}")
+    for spec in ("geometric:1,2", "geometric:1,2,x", "geometric:1,2,3,4"):
+        with pytest.raises(DomainError, match="geometric:lo,hi,count"):
+            parse_config(f"t_grid = {spec}")
 
 
 def test_empty_suites_gives_empty_passing_report(tmp_path):

@@ -176,3 +176,21 @@ def test_cli_lift_rejects_zero_audit_samples(tmp_path, capsys, ordered_instance)
     )
     assert code == 1
     assert "error: need at least one audit sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("geometric:1e-3,inf,5", "finite"),
+        ("geometric:1e-3,1e3", "geometric:lo,hi,count"),
+        ("geometric:1e-3,1e3,many", "geometric:lo,hi,count"),
+    ],
+)
+def test_cli_rejects_bad_t_grid_specs(tmp_path, capsys, ordered_instance, spec, message):
+    _, path = ordered_instance
+    out = tmp_path / "profile.csv"
+    code = main(["kprofile", "--instance", path, "--t-grid", spec, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,6 +356,24 @@ def test_lift_rejects_bad_couples_and_unordered_pairs():
         lift_operator(couple, [1.0, 1.0], [5.0, 5.0], 2.0)
     with pytest.raises(DomainError):
         lift_operator(couple, [1.0, 0.0], [0.5, 0.0], 2.0, method="newton")
+
+
+def test_unordered_pair_reports_t_both_k_values_and_tolerance():
+    couple = base_couple(2)
+    with pytest.raises(DomainError) as info:
+        lift_operator(couple, [1.0, 1.0], [5.0, 5.0], 2.0)
+    number = r"([-+0-9.e]+)"
+    found = re.search(
+        rf"t={number}, K\(t, g\) = {number} exceeds K\(t, f\) = {number} "
+        rf"by more than the tolerance {number}",
+        str(info.value),
+    )
+    assert found, str(info.value)
+    t, kg, kf, tol = (float(x) for x in found.groups())
+    conv = convexify_couple(couple, 2.0)
+    assert kg == pytest.approx(profile("K", conv, [5.0, 5.0], [t]).values[0], rel=1e-6)
+    assert kf == pytest.approx(profile("K", conv, [1.0, 1.0], [t]).values[0], rel=1e-6)
+    assert 0.0 < tol < kg - kf
 
 
 def test_lift_custom_alpha_reverifies_preconditions():

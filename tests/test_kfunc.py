@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from caldera import (
     INF,
@@ -13,10 +13,12 @@ from caldera import (
     DimensionMismatch,
     DomainError,
     MeasureSpace,
+    NumericalFailure,
     WeightedP,
     convexify_couple,
     vector,
 )
+from caldera import kfunc
 from caldera.kfunc import (
     Decomposition,
     check_decomposition,
@@ -28,11 +30,13 @@ from caldera.kfunc import (
     k_exact_l1_linf,
     k_numeric,
     k_order_dominates,
+    parse_t_grid,
     profile,
     _k_numeric_full,
+    _k_truncation,
     _k_values,
 )
-from caldera.lattice import norm
+from caldera.lattice import norm, weighted_p_norm
 
 
 def _uniform(n):
@@ -126,6 +130,21 @@ def oracle_k_free_split(couple, f, t):
         )
         best = min(best, float(res.fun))
     return best
+
+
+def oracle_k_sup_side(weights, a, p0, t):
+    """K on (l_p0, sup) by scipy's bounded scalar minimisation plus both ends."""
+    top = float(np.max(a, initial=0.0))
+    if top == 0.0:
+        return 0.0
+
+    def phi(c):
+        return float(weighted_p_norm(weights, np.maximum(a - c, 0.0), p0)) + t * c
+
+    res = minimize_scalar(
+        phi, bounds=(0.0, top), method="bounded", options={"xatol": 1e-14 * top}
+    )
+    return min(float(res.fun), phi(0.0), phi(top))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +312,129 @@ def test_k_numeric_certificate_bounds_d_exact():
         value, _, gap = _k_numeric_full(couple, f, t)
         dval, _ = d_exact(couple, f, t)
         assert value - gap <= dval * (1 + 1e-9) + 1e-12
+
+
+SUP_SIDE_EXPONENTS = (1.0, 1.001, 1.01, 1.5, 2.0, 3.0, 6.0, 40.0, 120.0)
+
+
+def _sup_side_draw(rng, i):
+    # n = 1 on every tenth draw; zeros, modulus ties and constant vectors
+    n = 1 if i % 10 == 0 else int(rng.integers(2, 80))
+    w = 10.0 ** rng.uniform(-3, 3, size=n) if i % 3 else np.ones(n)
+    a = 10.0 ** rng.uniform(-3, 3, size=n)
+    kind = i % 5
+    if kind == 1:
+        a[: n // 3] = 0.0
+    elif kind == 2:
+        a[1 : n // 2 + 1] = a[0]
+    elif kind == 3:
+        a[:] = a[0]
+    return w, a
+
+
+def test_truncation_route_matches_bounded_scipy_oracle():
+    rng = np.random.default_rng(71)
+    for i in range(300):
+        w, a = _sup_side_draw(rng, i)
+        p0 = 1.01 if i % 10 == 0 else float(rng.choice(SUP_SIDE_EXPONENTS))
+        ts = np.sort(10.0 ** rng.uniform(-6, 6, size=4))
+        vals, levels, a0n, gaps = _k_truncation(w, a, p0, ts)
+        for t, value, c, n_c, gap in zip(ts, vals, levels, a0n, gaps):
+            expected = oracle_k_sup_side(w, a, p0, t)
+            # no value above the oracle's minimum, no certified bound above it
+            assert value <= expected * (1 + 4e-15)
+            assert value - gap <= expected * (1 + 4e-15)
+            assert gap <= 1e-14 * value
+            assert 0.0 <= c <= np.max(a)
+            excess = weighted_p_norm(w, np.maximum(a - c, 0.0), p0)
+            assert n_c == pytest.approx(excess, rel=1e-13, abs=1e-300)
+            assert value == pytest.approx(n_c + t * c, rel=1e-15)
+
+
+def test_truncation_route_closed_forms():
+    ts = default_t_grid(1e-3, 1e3, 25)
+    for p0 in SUP_SIDE_EXPONENTS:
+        sp = MeasureSpace([0.5, 2.0, 1.5, 0.25])
+        couple = Couple(space=sp, norm0=WeightedP(p0), norm1=WeightedP(INF))
+        # f = 0 gives 0
+        assert np.all(profile("K", couple, np.zeros(4), ts).values == 0.0)
+        # a tied top below t = (W_top)^(1/p0) gives t max|f|
+        f = np.array([-3.0, 3.0, 1.0, 0.0])
+        w_top = 2.5 ** (1.0 / p0)
+        prof = profile("K", couple, f, ts)
+        low = ts <= w_top
+        assert np.allclose(prof.values[low], 3.0 * ts[low], rtol=1e-15)
+        # t >= s(0) = sum w a^(p0-1) / ||a||^(p0-1) gives the first norm
+        a = np.abs(f)
+        norm0 = weighted_p_norm(sp.weights, a, p0)
+        s0 = float(np.sum(sp.weights * (a / 3.0) ** (p0 - 1.0) * (a > 0)))
+        s0 /= (norm0 / 3.0) ** (p0 - 1.0)
+        for t in (s0, 2.0 * s0, 1e3 * s0):
+            assert k_numeric(couple, f, t)[0] == pytest.approx(norm0, rel=1e-15)
+        # one atom: min(w^(1/p0) |f|, t |f|)
+        single = Couple(space=MeasureSpace([7.0]), norm0=WeightedP(p0), norm1=WeightedP(INF))
+        for t in ts:
+            expected = min(7.0 ** (1.0 / p0) * 2.0, t * 2.0)
+            assert k_numeric(single, [-2.0], t)[0] == pytest.approx(expected, rel=1e-15)
+
+
+def test_sup_side_profile_gaps_and_k_numeric_splits():
+    rng = np.random.default_rng(73)
+    ts = default_t_grid()
+    for i in range(40):
+        n = int(rng.integers(1, 30))
+        sp = _rand_space(rng, n)
+        f = _rand_f(rng, n)
+        if n > 2:
+            f[0], f[1] = 0.0, -f[2]
+        p = float(rng.choice([1.01, 1.5, 2.0, 3.0, 6.0]))
+        couple = convexify_couple(l1_linf_couple(sp), p)
+        prof = profile("K", couple, f, ts)
+        assert np.all(prof.gaps <= 1e-14 * prof.values)
+        for base in (couple, l1_linf_couple(sp)):
+            t = float(ts[i % ts.size])
+            value, dec = k_numeric(base, f, t)
+            assert check_decomposition(f, dec)
+            recombined = norm(base.norm0, dec.a0) + t * norm(base.norm1, dec.a1)
+            assert recombined == pytest.approx(value, rel=1e-13)
+
+
+def test_truncation_failure_reports_t_value_and_gap(monkeypatch):
+    monkeypatch.setattr(kfunc, "TRUNCATION_MAX_ITER", 0)
+    couple = Couple(space=_uniform(3), norm0=WeightedP(2.0), norm1=WeightedP(INF))
+    # t = 0.5 and 4 are end cases, certified without a step; 1.3 is not
+    with pytest.raises(NumericalFailure, match=r"at t = 1\.3 .* gap ") as info:
+        profile("K", couple, [3.0, 1.0, 2.0], [0.5, 1.3, 4.0])
+    assert info.value.best_value > 0.0
+    assert info.value.gap > kfunc.SOLVER_REL_GAP * info.value.best_value
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, ts: profile("K", c, [1.0, 2.0, 3.0], ts),
+        lambda c, ts: profile("K", convexify_couple(c, 2.0), [1.0, 2.0, 3.0], ts),
+        lambda c, ts: profile("D", c, [1.0, 2.0, 3.0], ts),
+        lambda c, ts: check_k_d_sandwich(c, [1.0, 2.0, 3.0], t_grid=ts),
+        lambda c, ts: k_order_dominates(c, [3.0, 2.0, 1.0], [1.0, 1.0, 1.0], ts),
+    ],
+    ids=["profile-K", "profile-K-convexified", "profile-D", "k-d-sandwich", "k-order"],
+)
+@pytest.mark.parametrize("grid", [[1.0, INF], [math.nan, 1.0], [0.5, math.nan]])
+def test_non_finite_t_grid_raises_domain_error(call, grid):
+    with pytest.raises(DomainError, match="finite"):
+        call(l1_linf_couple(_uniform(3)), grid)
+
+
+def test_grid_specs_are_checked():
+    with pytest.raises(DomainError, match="finite"):
+        default_t_grid(1e-3, INF, 5)
+    with pytest.raises(DomainError):
+        default_t_grid(math.nan, 1.0, 5)
+    assert parse_t_grid("geometric:1e-3,1e3,61") == (1e-3, 1e3, 61)
+    for spec in ("geometric:1,2", "geometric:a,2,3", "geometric:1,2,3.5", "linear:0,1,5"):
+        with pytest.raises(DomainError, match="geometric:lo,hi,count"):
+            parse_t_grid(spec)
 
 
 # ---------------------------------------------------------------------------
