@@ -12,7 +12,7 @@ Everything here is immutable; operations return fresh arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,20 +186,11 @@ def norm_values(spec: NormSpec, space: MeasureSpace, rows: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class Couple:
-    """A compatible couple of norms over one space.
-
-    c_constant, when set, records the constant with which the couple
-    divides K-dominated elements; it must be >= 1.
-    """
+    """A compatible couple of norms over one space."""
 
     space: MeasureSpace
     norm0: NormSpec
     norm1: NormSpec
-    c_constant: float | None = field(default=None)
-
-    def __post_init__(self):
-        if self.c_constant is not None and not self.c_constant >= 1.0:
-            raise DomainError("a couple constant must be >= 1")
 
 
 def convexify_couple(couple: Couple, p: float) -> Couple:

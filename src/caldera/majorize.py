@@ -7,7 +7,9 @@ most one and T f = g.  The route is classical: fill g* up to the total mass
 of f* without breaking the prefix bounds, connect f* to the filled vector by
 a chain of at most n-1 pinch matrices (each a convex combination of the
 identity and a transposition), scale rows back down, and undo the sorting
-permutations.
+permutations.  A pinch mixes only two rows, so the chain's product is built
+by updating those rows in place, O(n) per factor and O(n^2) in all, and the
+sorting permutations are undone by one scatter.
 """
 
 from __future__ import annotations
@@ -175,6 +177,7 @@ class PinchFactor:
     lam: float
 
     def matrix(self, n: int) -> np.ndarray:
+        """The dense n x n factor; the chain itself never forms it."""
         m = np.eye(n)
         m[self.j, self.j] = self.lam
         m[self.k, self.k] = self.lam
@@ -195,7 +198,9 @@ def t_transform_chain(fstar, h) -> TransformChain:
     Requires both inputs nonincreasing and h majorized by fstar with equal
     sums.  Each pinch moves mass between the outermost pair of indices where
     the running vector still exceeds / falls short of the target and zeroes
-    at least one mismatch, so the chain terminates within n-1 factors.
+    at least one mismatch, so the chain terminates within n-1 factors.  A
+    pinch on (j, k) replaces rows j and k of the running product by their
+    two convex combinations, so S costs O(n) per factor.
     """
     x = values_of(fstar).copy()
     y = values_of(h)
@@ -232,14 +237,19 @@ def t_transform_chain(fstar, h) -> TransformChain:
         xj, xk = x[j], x[k]
         x[j] = lam * xj + (1.0 - lam) * xk
         x[k] = lam * xk + (1.0 - lam) * xj
-        s = factor.matrix(n) @ s
+        sj, sk = s[j].copy(), s[k].copy()
+        s[j] = lam * sj + (1.0 - lam) * sk
+        s[k] = lam * sk + (1.0 - lam) * sj
         factors.append(factor)
 
     residual = float(np.max(np.abs(s @ values_of(fstar) - y))) if n else 0.0
-    if residual > RESIDUAL_TOL * (1.0 + float(np.max(y, initial=0.0))):
+    limit = RESIDUAL_TOL * (1.0 + float(np.max(y, initial=0.0)))
+    if residual > limit:
         raise NumericalFailure(
-            f"pinch chain residual {residual:.3e} above tolerance",
+            f"pinch chain residual {residual:.3e} above tolerance {limit:.3e} "
+            f"(n = {n}, {len(factors)} factors)",
             best_value=residual,
+            gap=residual - limit,
         )
     s.setflags(write=False)
     return TransformChain(matrix=s, factors=tuple(factors))
@@ -297,12 +307,6 @@ def sample_operator_norm(
     return float(np.max(num / den))
 
 
-def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
-
-
 def construct_positive_operator(space: MeasureSpace, f, g) -> MatrixOperator:
     """Positive matrix T with T f = g, row and column sums at most one.
 
@@ -332,6 +336,6 @@ def construct_positive_operator(space: MeasureSpace, f, g) -> MatrixOperator:
     chain = t_transform_chain(rf.sorted, h)
     with np.errstate(invalid="ignore", divide="ignore"):
         d = np.where(h > 0.0, rg.sorted / np.where(h > 0.0, h, 1.0), 0.0)
-    scaled = d[:, None] * chain.matrix
-    t = scaled[:, _inverse_permutation(rf.permutation)][_inverse_permutation(rg.permutation), :]
+    t = np.empty((n, n))
+    t[np.ix_(rg.permutation, rf.permutation)] = d[:, None] * chain.matrix
     return MatrixOperator(space=space, entries=t, positive=True)

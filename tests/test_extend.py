@@ -17,12 +17,17 @@ from caldera.extend import (
     default_alpha,
     greedy_hb_extension_row,
     holder_extension_row,
+    lift_certified,
     lift_operator,
     verify_lift,
 )
 from caldera.kfunc import check_k_d_sandwich, d_exact, default_t_grid, profile
 from caldera.lattice import convexify_couple, norm, vector
-from caldera.majorize import MatrixOperator, construct_positive_operator
+from caldera.majorize import (
+    MAX_OPERATOR_SIZE,
+    MatrixOperator,
+    construct_positive_operator,
+)
 
 
 def _uniform(n):
@@ -326,6 +331,19 @@ def test_lift_random_ordered_pairs_all_certificates():
                     result, result.majorant, f, g, conv, samples=1500, seed=11
                 )
                 assert report.ok, (p, method, report)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lift_at_the_operator_size_cap_certifies(p):
+    inst = generate_instance(5, MAX_OPERATOR_SIZE, p=p, k_ordered=True, index=int(p * 2))
+    result = lift_operator(inst.couple, inst.f, inst.g, p)
+    assert result.operator.entries.shape == (MAX_OPERATOR_SIZE, MAX_OPERATOR_SIZE)
+    assert lift_certified(
+        result.residual_lf_g,
+        result.domination_violations,
+        result.norm_sample_ratios,
+        p,
+    ), result.norm_sample_ratios
 
 
 def test_lift_methods_cross_check_on_prescribed_line():

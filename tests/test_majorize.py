@@ -9,8 +9,10 @@ from caldera import (
     DimensionMismatch,
     DomainError,
     MeasureSpace,
+    NumericalFailure,
     WeightedP,
 )
+from caldera import majorize
 from caldera.majorize import (
     MatrixOperator,
     construct_positive_operator,
@@ -180,6 +182,85 @@ def test_t_transform_chain_random():
         for fac in chain.factors:
             assert 0.0 <= fac.lam <= 1.0
             assert _is_pinch_matrix(fac.matrix(n), fac.j, fac.k, fac.lam)
+
+
+def _hard_pair(rng, n):
+    """Submajorized f, g >= 0 with ties, zeros and magnitudes 10^(+-6)."""
+    f = 10.0 ** rng.uniform(-6, 6, size=n)
+    f[rng.random(n) < 0.25] = 0.0
+    tied = rng.random(n) < 0.3
+    f[tied] = f[int(rng.integers(0, n))]
+    if not np.any(f > 0.0):
+        f[0] = 1.0
+    q = rng.random((n, n))
+    cap = max(np.max(np.sum(q, axis=0)), np.max(np.sum(q, axis=1)))
+    g = (q / cap) @ f * rng.uniform(0.2, 1.0)
+    g[rng.random(n) < 0.25] = 0.0
+    if n > 1:
+        # lowering entries to a common value keeps the submajorization
+        a, b = rng.choice(n, size=2, replace=False)
+        g[a] = g[b] = min(g[a], g[b])
+    return f, g
+
+
+def _hard_cases():
+    rng = np.random.default_rng(211)
+    yield np.array([5.0]), np.array([2.0])
+    yield np.array([0.0, 3.0, 3.0, 0.0]), np.array([3.0, 0.0, 3.0, 0.0])
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+        for _ in range(6):
+            yield _hard_pair(rng, n)
+    f = 10.0 ** rng.uniform(-6, 6, size=256)
+    yield f, rng.permutation(f)
+    yield _hard_pair(rng, 256)
+
+
+def test_chain_rows_match_the_product_of_pinch_matrices():
+    for f, g in _hard_cases():
+        n = f.size
+        fstar = decreasing_rearrangement(f).sorted
+        h = fill_to_exact_majorization(fstar, decreasing_rearrangement(g).sorted)
+        chain = t_transform_chain(fstar, h)
+        product = np.eye(n)
+        for fac in chain.factors:
+            product = fac.matrix(n) @ product
+        assert np.max(np.abs(chain.matrix - product), initial=0.0) <= 1e-15, n
+
+
+def test_operator_scatter_matches_chained_permutation_copies():
+    for f, g in _hard_cases():
+        n = f.size
+        op = construct_positive_operator(_uniform(n), f, g)
+        rf = decreasing_rearrangement(f)
+        rg = decreasing_rearrangement(g)
+        h = fill_to_exact_majorization(rf.sorted, rg.sorted)
+        chain = t_transform_chain(rf.sorted, h)
+        d = np.zeros(n)
+        d[h > 0.0] = rg.sorted[h > 0.0] / h[h > 0.0]
+        scaled = d[:, None] * chain.matrix
+        # undo sort_f on the columns, then sort_g on the rows
+        old = scaled[:, np.argsort(rf.permutation)][np.argsort(rg.permutation), :]
+        assert np.array_equal(op.entries, old), n
+        assert np.max(np.abs(op.apply(f) - g)) <= 1e-10 * (1.0 + np.max(g))
+
+
+def test_chain_failure_names_size_factors_and_gap(monkeypatch):
+    fstar = np.array([4.0, 2.0, 1.0, 0.0])
+    h = fill_to_exact_majorization(fstar, np.array([2.0, 2.0, 1.0, 1.0]))
+    chain = t_transform_chain(fstar, h)
+    residual = float(np.max(np.abs(chain.matrix @ fstar - h)))
+    monkeypatch.setattr(majorize, "RESIDUAL_TOL", -1.0)
+    limit = -1.0 * (1.0 + np.max(h))
+    with pytest.raises(NumericalFailure) as info:
+        t_transform_chain(fstar, h)
+    message = str(info.value)
+    assert "pinch chain" in message
+    assert "n = 4" in message
+    assert f"{len(chain.factors)} factors" in message
+    assert info.value.best_value == residual
+    assert info.value.gap == residual - limit
+    with pytest.raises(NumericalFailure, match="pinch chain"):
+        construct_positive_operator(_uniform(4), [4.0, 2.0, 1.0, 0.0], [2.0, 2.0, 1.0, 1.0])
 
 
 def test_t_transform_chain_rejects_non_majorized_target():
