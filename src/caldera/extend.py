@@ -6,10 +6,11 @@ Each output coordinate prescribes a rank-one constraint l(f) = g_i with
 |l(h)| <= H_i(h).  Every such prescription is saturated, |g_i| = H_i(f), and
 the weighted l_q dual ball is strictly convex, so the only dominated
 extension is the functional that saturates Holder's inequality at f
-(Taylor 1939, Foguel 1958); it is built in closed form and certified by its
-dual seminorm.  Stacking the rows yields L with Lf = g and |Lh| <= H(h),
-which pins the operator norm on both convexified spaces at 2^(1-1/p) when
-alpha = 2^(p-1).
+(Taylor 1939, Foguel 1958).  All rows are one formula, certified by one
+batched dual-seminorm evaluation: L = diag(target/denom) . alpha T .
+diag(|f|^(p-1) sgn f) with denom = alpha T |f|^p.  Then Lf = g and
+|Lh| <= H(h), which pins the operator norm on both convexified spaces at
+2^(1-1/p) when alpha = 2^(p-1).
 """
 
 from __future__ import annotations
@@ -76,17 +77,15 @@ class SublinearMajorant:
     def row_weights(self, i: int) -> np.ndarray:
         return self.alpha * self.operator.entries[i]
 
+    def values(self, h: np.ndarray) -> np.ndarray:
+        """H(h), reduced over the last axis: one vector or a batch of rows."""
+        return ((self.alpha * np.abs(h) ** self.p) @ self.operator.entries.T) ** (
+            1.0 / self.p
+        )
+
 
 def apply_majorant(majorant: SublinearMajorant, h) -> LatticeVector:
-    space = majorant.operator.space
-    powered = majorant.alpha * np.abs(values_of(h)) ** majorant.p
-    out = majorant.operator.apply(powered) ** (1.0 / majorant.p)
-    return vector(space, out)
-
-
-def _apply_majorant_rows(majorant: SublinearMajorant, rows: np.ndarray) -> np.ndarray:
-    powered = majorant.alpha * np.abs(rows) ** majorant.p
-    return (powered @ majorant.operator.entries.T) ** (1.0 / majorant.p)
+    return vector(majorant.operator.space, majorant.values(values_of(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +107,11 @@ def check_minkowski(
     operator: MatrixOperator, h1, h2, p: float, abs_tol: float = 1e-12
 ) -> PropertyReport:
     """Componentwise (G|h1+h2|^p)^(1/p) <= (G|h1|^p)^(1/p) + (G|h2|^p)^(1/p)."""
-    if not operator.positive:
-        raise DomainError("positivity of the operator is required")
-    if not (1.0 < p < INF):
-        raise DomainError("exponent must lie in (1, inf)")
+    # the subadditivity of the majorant with alpha = 1, which checks T and p
+    majorant = SublinearMajorant(operator=operator, alpha=1.0, p=p)
     a = values_of(h1)
     b = values_of(h2)
-    lhs = operator.apply(np.abs(a + b) ** p) ** (1.0 / p)
-    rhs = operator.apply(np.abs(a) ** p) ** (1.0 / p) + operator.apply(
-        np.abs(b) ** p
-    ) ** (1.0 / p)
-    excess = lhs - rhs
+    excess = majorant.values(a + b) - (majorant.values(a) + majorant.values(b))
     bad = np.flatnonzero(excess > abs_tol)
     violations = tuple((int(i), float(excess[i])) for i in bad)
     return PropertyReport(ok=not violations, checked=a.size, violations=violations)
@@ -142,13 +135,13 @@ def check_sublinear(
         -2.0, 2.0, size=sample_count
     )
 
-    base = _apply_majorant_rows(majorant, h1)
-    scaled = _apply_majorant_rows(majorant, scal[:, None] * h1)
+    base = majorant.values(h1)
+    scaled = majorant.values(scal[:, None] * h1)
     hom_err = np.abs(scaled - np.abs(scal)[:, None] * base)
     hom_bad = hom_err > rel_tol * np.maximum(scaled, 1e-300)
 
-    together = _apply_majorant_rows(majorant, h1 + h2)
-    apart = base + _apply_majorant_rows(majorant, h2)
+    together = majorant.values(h1 + h2)
+    apart = base + majorant.values(h2)
     sub_bad = together - apart > abs_tol
 
     bad_rows = np.flatnonzero(np.any(hom_bad | sub_bad, axis=1))
@@ -163,52 +156,60 @@ def check_sublinear(
 # ---------------------------------------------------------------------------
 
 
-def _row_feasible_target(g_i: float, attainable: float, slack: float) -> float:
-    """Clamp the prescription onto the feasible ball, erroring past slack."""
-    mag = abs(g_i)
-    if mag <= attainable:
-        return g_i
-    if attainable == 0.0:
-        raise DomainError("cannot dominate a nonzero value with a null row")
-    if mag > attainable + slack + 1e-12 * attainable:
+def holder_rows(
+    majorant: SublinearMajorant, f, g, rows: np.ndarray, slack: float = 0.0
+) -> np.ndarray:
+    """Rows ``rows`` of the forced lift L, prescribed (L f)_i = g_i on each.
+
+    target is g clamped onto the attainable bound denom^(1/p); a row with
+    g_i = 0 is zero.  The batched certificate scales overshoot up to
+    ROW_RESCALE_TOL away and fails on any other dual norm, NaN included.
+    """
+    fv = values_of(f)
+    if fv.shape != (majorant.operator.space.n,):
+        raise DomainError("vector length does not match the operator space")
+    p = majorant.p
+    w = majorant.alpha * majorant.operator.entries[rows]
+    a = np.abs(fv)
+    denom = (w * a**p).sum(axis=-1)
+    attainable = denom ** (1.0 / p)
+    mag = np.abs(g)
+    over = mag > attainable
+    beyond = over & (
+        (attainable == 0.0) | (mag > attainable + slack + 1e-12 * attainable)
+    )
+    if beyond.any():
+        k = int(np.argmax(beyond))
+        if attainable[k] == 0.0:
+            raise DomainError(
+                f"row {rows[k]}: cannot dominate a nonzero value with a null row"
+            )
         raise DomainError(
-            f"prescribed value {g_i:.6g} exceeds the attainable bound "
-            f"{attainable:.6g} beyond tolerance"
+            f"row {rows[k]}: prescribed value {g[k]:.6g} exceeds the attainable "
+            f"bound {attainable[k]:.6g} beyond tolerance"
         )
-    return math.copysign(attainable, g_i)
+    target = np.where(over, np.copysign(attainable, g), g)[:, None]
+    live = (g != 0.0)[:, None]
+    safe = np.where(live, denom[:, None], 1.0)
+    ell = np.where(live, target * w * a ** (p - 1.0) * np.sign(fv) / safe, 0.0)
+    rho = dual_p_norm(np.where(w > 0.0, w, 1.0), ell, p)
+    failed = np.flatnonzero(~(rho <= 1.0 + ROW_RESCALE_TOL))
+    if failed.size:
+        k = int(failed[0])
+        bad = float(rho[k])
+        raise NumericalFailure(
+            f"row {rows[k]}: domination certificate failed with dual norm {bad:.12g}",
+            best_value=bad,
+            gap=bad - 1.0,
+        )
+    return ell / np.maximum(rho, 1.0)[:, None]
 
 
 def holder_extension_row(
     majorant: SublinearMajorant, f, g_i: float, i: int, slack: float = 0.0
 ) -> np.ndarray:
-    """Dominated row with l(f) = g_i: the functional saturating Holder at f.
-
-    A dual-seminorm evaluation on the row support certifies |l(h)| <= H_i(h);
-    overshoot up to ROW_RESCALE_TOL is scaled away, beyond it the row fails.
-    """
-    fv = values_of(f)
-    n = majorant.operator.space.n
-    if fv.shape != (n,):
-        raise DomainError("vector length does not match the operator space")
-    if g_i == 0.0:
-        return np.zeros(n)
-    w = majorant.row_weights(i)
-    p = majorant.p
-    denom = float(np.sum(w * np.abs(fv) ** p))
-    attainable = denom ** (1.0 / p)
-    target = _row_feasible_target(float(g_i), attainable, slack)
-    ell = target * w * np.abs(fv) ** (p - 1.0) * np.sign(fv) / denom
-    sup = w > 0.0
-    rho = float(dual_p_norm(w[sup], ell[sup], p))
-    if rho > 1.0 + ROW_RESCALE_TOL:
-        raise NumericalFailure(
-            f"row {i}: domination certificate failed with dual norm {rho:.12g}",
-            best_value=rho,
-            gap=rho - 1.0,
-        )
-    if rho > 1.0:
-        ell = ell / rho
-    return ell
+    """Dominated row with l(f) = g_i: row i of ``holder_rows``."""
+    return holder_rows(majorant, f, np.array([float(g_i)]), np.array([i]), slack)[0]
 
 
 # Lift rows are saturated, |g_i| = H_i(f), and the weighted l_q dual ball is
@@ -282,7 +283,7 @@ def _audit_lift(
         -2.0, 2.0, size=(samples, space.n)
     )
     lh = h @ operator.entries.T
-    hh = _apply_majorant_rows(majorant, h)
+    hh = majorant.values(h)
     viol = int(np.sum(np.any(np.abs(lh) > hh * (1.0 + DOMINATION_SLACK), axis=1)))
     ratios = []
     for spec in (conv.norm0, conv.norm1):
@@ -307,7 +308,7 @@ def lift_operator(
     The base couple must be the unweighted (l1, sup) pair; the ordering
     precondition is checked on its p-convexification before any construction
     happens, then T(alpha*|f|^p) = |g|^p is solved for a positive
-    substochastic T and the prescription row by row.
+    substochastic T and L is built and certified by ``holder_rows``.
     """
     if not is_l1_linf(couple) or not couple.space.is_uniform():
         raise DomainError("lifting requires the unweighted (l1, sup) base couple")
@@ -333,13 +334,10 @@ def lift_operator(
     T = construct_positive_operator(space, alpha * np.abs(fv) ** p, np.abs(gv) ** p)
     majorant = SublinearMajorant(operator=T, alpha=alpha, p=p)
 
-    # both methods take the forced Holder row; ``method`` is only recorded
+    # both methods take the forced Holder rows; ``method`` is only recorded
     slack = 0.5 * RESIDUAL_BUDGET * (1.0 + float(np.max(np.abs(gv))))
-    rows = [
-        holder_extension_row(majorant, fv, float(gv[i]), i, slack=slack)
-        for i in range(space.n)
-    ]
-    operator = MatrixOperator(space=space, entries=np.stack(rows, axis=0))
+    entries = holder_rows(majorant, fv, gv, np.arange(space.n), slack=slack)
+    operator = MatrixOperator(space=space, entries=entries)
 
     residual, viol, ratios = _audit_lift(
         operator, majorant, fv, gv, conv, audit_samples, seed

@@ -161,8 +161,9 @@ def dual_p_norm(w: np.ndarray, z: np.ndarray, p: float):
         return (az / w).max(axis=-1, initial=0.0)
     if p == INF:
         return az.sum(axis=-1)
+    # the plain q-norm of |z| / w^(1/p); the weights w^(-q/p) overflow near p = 1
     q = p / (p - 1.0)
-    return weighted_p_norm(w ** (-q / p), az, q)
+    return weighted_p_norm(np.ones(az.shape[-1]), az / w ** (1.0 / p), q)
 
 
 def norm(spec: NormSpec, f: LatticeVector) -> float:

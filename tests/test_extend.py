@@ -2,12 +2,22 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from caldera import Couple, DomainError, MeasureSpace, WeightedP, INF, generate_instance
+from caldera import (
+    Couple,
+    DomainError,
+    INF,
+    MeasureSpace,
+    NumericalFailure,
+    WeightedP,
+    generate_instance,
+)
+from caldera import extend
 from caldera.extend import (
     LiftResult,
     SublinearMajorant,
@@ -22,7 +32,7 @@ from caldera.extend import (
     verify_lift,
 )
 from caldera.kfunc import check_k_d_sandwich, d_exact, default_t_grid, profile
-from caldera.lattice import convexify_couple, norm, vector
+from caldera.lattice import convexify_couple, dual_p_norm, norm, vector
 from caldera.majorize import (
     MAX_OPERATOR_SIZE,
     MatrixOperator,
@@ -194,7 +204,6 @@ def test_holder_row_exactness_and_domination_random():
         ell = holder_extension_row(H, f, g_i, i)
         assert ell @ f == pytest.approx(g_i, rel=1e-10, abs=1e-14)
         hs = rng.normal(size=(200, n)) * 10.0 ** rng.uniform(-2, 2, size=(200, 1))
-        hi_h = apply_majorant(H, hs.T).values if False else None
         powered = H.alpha * np.abs(hs) ** p
         bound = (powered @ entries[i]) ** (1.0 / p)
         assert np.all(np.abs(hs @ ell) <= bound * (1 + 1e-9) + 1e-300)
@@ -243,6 +252,44 @@ def test_row_domination_certificate_on_sparse_rows():
         powered = H.alpha * np.abs(hs) ** p
         bound = (powered @ entries[i]) ** (1.0 / p)
         assert np.all(np.abs(hs @ ell) <= bound * (1 + 1e-8) + 1e-300)
+
+
+def test_row_with_a_subnormal_weight_certifies_with_a_finite_dual_norm():
+    # the dual-norm weight w^(-q/p) of the subnormal entry is past the float range
+    entries = np.array([[0.5, 5e-324, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    op = MatrixOperator(space=_uniform(3), entries=entries, positive=True)
+    H = SublinearMajorant(operator=op, alpha=2.0, p=2.0)
+    f = np.array([1.0, 1e-3, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g_0 = apply_majorant(H, f).values[0]
+        ell = holder_extension_row(H, f, g_0, 0)
+        rho = dual_p_norm(H.row_weights(0), ell, 2.0)
+    assert math.isfinite(rho) and rho <= 1.0 + extend.ROW_RESCALE_TOL
+    assert ell @ f == pytest.approx(g_0, rel=1e-15)
+
+
+def test_nan_row_certificate_fails_closed(monkeypatch):
+    H = _identity_majorant(3, alpha=2.0, p=2.0)
+    monkeypatch.setattr(
+        extend, "dual_p_norm", lambda w, z, p: np.full(z.shape[:-1], math.nan)
+    )
+    with pytest.raises(NumericalFailure, match="row 1: domination certificate"):
+        holder_extension_row(H, [1.0, 2.0, 3.0], 1.0, 1)
+    with pytest.raises(NumericalFailure, match="row 0: domination certificate"):
+        lift_operator(base_couple(2), [2.0, 0.0], [1.0, 1.0], 2.0)
+
+
+def test_failed_row_certificate_names_row_value_and_gap(monkeypatch):
+    # with no rescale tolerance left even an exact Holder row (rho = 1) fails
+    monkeypatch.setattr(extend, "ROW_RESCALE_TOL", -1.0)
+    f, g = np.array([3.0, -1.0, 2.0]), np.array([1.5, 0.5, -1.0])
+    with pytest.raises(NumericalFailure, match=r"^row 0: domination") as info:
+        lift_operator(base_couple(3), f, g, 2.0)
+    rho = info.value.best_value
+    assert rho == pytest.approx(1.0, rel=1e-13)
+    assert info.value.gap == rho - 1.0
+    assert f"dual norm {rho:.12g}" in str(info.value)
 
 
 def _dual_ball_argmax(w, f, sign, p):
@@ -344,6 +391,96 @@ def test_lift_at_the_operator_size_cap_certifies(p):
         result.norm_sample_ratios,
         p,
     ), result.norm_sample_ratios
+
+
+@pytest.mark.parametrize("p", [1.01, 1.05, 1.1])
+def test_lifts_near_p_one_certify(p):
+    # near p = 1 the dual-norm weights w^(-q/p) are past the float range
+    for seed in (1, 2, 3):
+        for n in (2, 8, 32, 128, 256):
+            inst = generate_instance(seed, n, p=p, k_ordered=True)
+            result = lift_operator(inst.couple, inst.f, inst.g, p, audit_samples=500)
+            assert lift_certified(
+                result.residual_lf_g,
+                result.domination_violations,
+                result.norm_sample_ratios,
+                p,
+            ), (seed, n, result.norm_sample_ratios)
+
+
+def _oracle_holder_row(t_row, alpha, p, f, g_i, overshoot):
+    """Row i of the lift from its definition, one exactly rounded sum at a time.
+
+    ``overshoot`` inflates the dual norm the way a rounding excess would, so
+    that the rescale below it is exercised.
+    """
+    n = len(f)
+    if g_i == 0.0:
+        return [0.0] * n
+    w = [alpha * t for t in t_row]
+    denom = math.fsum(w[j] * abs(f[j]) ** p for j in range(n))
+    top = denom ** (1.0 / p)
+    target = math.copysign(top, g_i) if abs(g_i) > top else g_i
+    row = [
+        target * w[j] * abs(f[j]) ** (p - 1.0) * math.copysign(1.0, f[j]) / denom
+        if f[j] != 0.0
+        else 0.0
+        for j in range(n)
+    ]
+    q = p / (p - 1.0)
+    dual = math.fsum(
+        (abs(row[j]) / w[j] ** (1.0 / p)) ** q for j in range(n) if w[j] > 0.0
+    ) ** (1.0 / q)
+    rho = (1.0 + overshoot) * dual
+    return [x / rho for x in row] if rho > 1.0 else row
+
+
+def _oracle_pairs():
+    """Seeded k-ordered pairs with ties, zeros in f and g, n = 1 and n = 256."""
+    rng = np.random.default_rng(53)
+    for p in (1.01, 1.5, 2.0, 3.0, 6.0):
+        for n in (1, 2, 3, 5, 8, 21, 64, 256):
+            if n == 256 and p not in (1.01, 2.0):
+                continue
+            f = 10.0 ** rng.uniform(-1.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+            if n >= 3:
+                f[1] = -f[0]  # a modulus tie
+                f[2] = 0.0
+            q = rng.random((n, n))
+            cap = max(np.max(np.sum(q, axis=0)), np.max(np.sum(q, axis=1)))
+            g = (q / cap) @ f * float(rng.uniform(0.2, 0.95))
+            if n >= 5:
+                g[3] = 0.0
+                g[4] = g[0]
+            perm = rng.permutation(n)
+            yield p, f[perm], g[perm]
+        inst = generate_instance(7, 48, p=p, k_ordered=True)
+        yield p, inst.f, inst.g
+
+
+@pytest.mark.parametrize("overshoot", [0.0, 1e-9])
+def test_lift_matches_a_row_by_row_oracle(monkeypatch, overshoot):
+    if overshoot:
+        exact = extend.dual_p_norm
+        monkeypatch.setattr(
+            extend, "dual_p_norm", lambda w, z, p: (1.0 + overshoot) * exact(w, z, p)
+        )
+    worst = 0.0
+    for p, f, g in _oracle_pairs():
+        result = lift_operator(base_couple(len(f)), f, g, p, audit_samples=50)
+        T = result.majorant.operator.entries
+        L = result.operator.entries
+        fl, gl = f.tolist(), g.tolist()
+        for i in range(len(f)):
+            row = np.array(
+                _oracle_holder_row(T[i].tolist(), result.alpha, p, fl, gl[i], overshoot)
+            )
+            scale = np.max(np.abs(row))
+            if scale == 0.0:
+                assert not np.any(L[i]), (p, len(f), i)
+                continue
+            worst = max(worst, float(np.max(np.abs(L[i] - row)) / scale))
+    assert worst <= 1e-14, worst
 
 
 def test_lift_methods_cross_check_on_prescribed_line():
