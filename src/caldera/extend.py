@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .kfunc import ORDER_GRID_SLACK, default_t_grid, profile
+from .kfunc import default_t_grid, k_order_breaks, profile
 from .lattice import (
     INF,
     Couple,
@@ -168,6 +168,7 @@ def holder_rows(
     fv = values_of(f)
     if fv.shape != (majorant.operator.space.n,):
         raise DomainError("vector length does not match the operator space")
+    g = values_of(g, len(rows))
     p = majorant.p
     w = majorant.alpha * majorant.operator.entries[rows]
     a = np.abs(fv)
@@ -209,7 +210,7 @@ def holder_extension_row(
     majorant: SublinearMajorant, f, g_i: float, i: int, slack: float = 0.0
 ) -> np.ndarray:
     """Dominated row with l(f) = g_i: row i of ``holder_rows``."""
-    return holder_rows(majorant, f, np.array([float(g_i)]), np.array([i]), slack)[0]
+    return holder_rows(majorant, f, [g_i], np.array([i]), slack)[0]
 
 
 # Lift rows are saturated, |g_i| = H_i(f), and the weighted l_q dual ball is
@@ -251,17 +252,15 @@ class VerifyReport:
 
 def _require_k_ordering(conv: Couple, f: np.ndarray, g: np.ndarray) -> None:
     ts = default_t_grid()
-    prof_f = profile("K", conv, f, ts)
-    prof_g = profile("K", conv, g, ts)
-    slack = ORDER_GRID_SLACK * np.maximum(prof_f.values, 1e-300)
-    tol = slack + prof_f.gaps + prof_g.gaps
-    bad = np.flatnonzero(prof_g.values > prof_f.values + tol)
-    if bad.size:
-        i = int(bad[0])
+    prof = profile("K", conv, np.stack([f, g]), ts)
+    broken, tol = k_order_breaks(prof)
+    if broken.any():
+        i = int(np.argmax(broken))
+        kf, kg = prof.values[:, i]
         raise DomainError(
             f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, "
-            f"K(t, g) = {prof_g.values[i]:.17g} exceeds K(t, f) = "
-            f"{prof_f.values[i]:.17g} by more than the tolerance {tol[i]:.3e}"
+            f"K(t, g) = {kg:.17g} exceeds K(t, f) = "
+            f"{kf:.17g} by more than the tolerance {tol[i]:.3e}"
         )
 
 
@@ -331,7 +330,12 @@ def lift_operator(
     conv = convexify_couple(couple, p)
     _require_k_ordering(conv, fv, gv)
 
-    T = construct_positive_operator(space, alpha * np.abs(fv) ** p, np.abs(gv) ** p)
+    with np.errstate(over="ignore"):
+        source, target = alpha * np.abs(fv) ** p, np.abs(gv) ** p
+    for name, power in (("alpha |f|^p", source), ("|g|^p", target)):
+        if not np.all(np.isfinite(power)):
+            raise DomainError(f"{name} overflows at p = {p:g}")
+    T = construct_positive_operator(space, source, target)
     majorant = SublinearMajorant(operator=T, alpha=alpha, p=p)
 
     # both methods take the forced Holder rows; ``method`` is only recorded

@@ -17,8 +17,14 @@ Three computational routes live here:
 * D as the best of the 2(n+1) disjoint splits that put the bottom k or the
   top n - k moduli in slot 0, exact on every couple.
 
+Profiles take one vector or an (m, n) stack.  The truncation-level solve is
+one batched Newton loop over every (vector, t) problem still open; the other
+routes take a stack row by row.
+
 The inequality checks at the bottom compare these routes against each other
-and against the constants that control p-convexification.
+and against the constants that control p-convexification.  The K-ordering
+rule is defined once, in ``k_order_breaks``, on one profile of the stack
+[f, g]; ``k_order_dominates`` and the lift's precondition both apply it.
 """
 
 from __future__ import annotations
@@ -164,70 +170,101 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
     at c pairs with a to N(c) + c s(c).  Scaled end gradients settle the end
     cases; the mix of the bracket-end gradients with mass t, the rest.
 
-    Returns values, levels c, split norms N(c) and certified gaps.
-    """
-    top = float(a.max(initial=0.0))
-    if top == 0.0:
-        zero = np.zeros_like(ts)
-        return zero, zero.copy(), zero.copy(), zero.copy()
+    ``a`` is one vector of moduli or an (m, n) stack, reduced over the last
+    axis.  Every (vector, t) problem is a column of one state array; each
+    pass steps the open columns together and drops a column once its gap
+    closes or its bracket is one ulp wide.
 
-    def at(x: np.ndarray):
+    Returns values, levels c, split norms N(c) and certified gaps, each of
+    shape ``a.shape[:-1] + ts.shape``.
+    """
+    stack = a.reshape(-1, a.shape[-1])
+    size = ts.size
+    top = stack.max(axis=-1, initial=0.0)
+
+    def at(rows: np.ndarray, top: np.ndarray, x: np.ndarray):
         # N, s and s' at levels x < top, each excess scaled by the largest;
         # an overflowing e^(p0-2) or p0 in {1, inf} leaves s' non-finite or
-        # zero, which only turns the next step into a bisection
+        # zero, which only turns the next step into a bisection, and a zero
+        # vector leaves s = 0/0
         m = top - x
-        e = np.maximum(a - x[:, None], 0.0) / m[:, None]
-        r = np.power(e, p0 - 1.0, out=np.zeros_like(e), where=e > 0.0)
+        e = np.maximum(rows - x[:, None], 0.0) / m[:, None]
+        pos = e > 0.0
+        r = np.power(e, p0 - 1.0, out=np.zeros_like(e), where=pos)
         s1, sp = r @ w, (r * e) @ w
         q = sp ** (1.0 / p0)
         with np.errstate(over="ignore", invalid="ignore"):
-            s2 = np.divide(r, e, out=np.zeros_like(e), where=e > 0.0) @ w
+            s2 = np.divide(r, e, out=np.zeros_like(e), where=pos) @ w
             ds = (1.0 - p0) * (s2 - s1 * s1 / sp) * q / sp / m
-        return m * q, s1 * q / sp, ds
+            return m * q, s1 * q / sp, ds
 
-    n0, s0, ds0 = (float(v[0]) for v in at(np.zeros(1)))
-    s_top = float(w[a == top].sum()) ** (1.0 / p0)
-    at_zero = n0 <= ts * top
-    best = np.where(at_zero, n0, ts * top)
-    levels = np.where(at_zero, 0.0, top)
-    a0n = np.where(at_zero, n0, 0.0)
-    lower = np.maximum(np.minimum(1.0, ts / s0) * n0, np.minimum(s_top, ts) * top)
-    # bracket ends: row 0 has s > t, row 1 has s <= t; end_l is N + c s
-    end_c = np.stack([np.zeros_like(ts), np.full_like(ts, top)])
-    end_s = np.stack([np.full_like(ts, s0), np.full_like(ts, s_top)])
-    end_l = np.stack([np.full_like(ts, n0), np.full_like(ts, top * s_top)])
-    x, s_x, ds_x = np.zeros_like(ts), np.full_like(ts, s0), np.full_like(ts, ds0)
+    # a zero vector, taken at top 1, gets n0 = 0 and s0 = 1, which closes
+    # its gap at 0
+    live = top > 0.0
+    n0, s0, ds0 = at(stack, np.where(live, top, 1.0), np.zeros(top.size))
+    s_top = [float(w[v == c].sum()) ** (1.0 / p0) for v, c in zip(stack, top)]
+    # column k solves vector k // size at t = ts[k % size]
+    moduli = np.repeat(stack, size, axis=0)
+    t = np.concatenate([ts] * top.size)
+    s0 = np.where(live, s0, 1.0)
+    top, n0, s0, ds0, s_top = np.repeat([top, n0, s0, ds0, s_top], size, axis=1)
+    at_zero = n0 <= t * top
+    zero = np.zeros_like(t)
+    # rows: t, top, level x, s(x), s'(x), bracket end lo with s > t and end
+    # hi with s <= t (each as c, s and N + c s), best value, its level, its
+    # N, certified lower bound and the column index
+    state = np.array(
+        [
+            t, top, zero, s0, ds0, zero, s0, n0, top, s_top, top * s_top,
+            np.where(at_zero, n0, t * top),
+            np.where(at_zero, 0.0, top),
+            np.where(at_zero, n0, 0.0),
+            np.maximum(np.minimum(1.0, t / s0) * n0, np.minimum(s_top, t) * top),
+            np.arange(t.size),
+        ]
+    )
+    closed = []
     for _ in range(TRUNCATION_MAX_ITER):
-        i = np.flatnonzero(best - lower > TRUNCATION_REL_GAP * best)
-        lo, hi = end_c[0, i], end_c[1, i]
+        t, top, x, s_x, ds_x, lo, s_lo, l_lo, hi, s_hi, l_hi, best, _, _, lower, _ = state
         with np.errstate(over="ignore"):
-            xi = x[i] - (s_x[i] - ts[i]) / np.where(ds_x[i] < 0.0, ds_x[i], np.nan)
-        xi = np.where((lo < xi) & (xi < hi), xi, 0.5 * (lo + hi))
-        room = (lo < xi) & (xi < hi)  # false once the bracket is one ulp wide
-        i, xi = i[room], xi[room]
-        if i.size == 0:
-            break
-        n_i, s_i, ds_i = at(xi)
-        phi = n_i + ts[i] * xi
-        better = phi < best[i]
-        j = i[better]
-        best[j], levels[j], a0n[j] = phi[better], xi[better], n_i[better]
-        side = (s_i <= ts[i]).astype(np.intp)
-        end_c[side, i], end_s[side, i], end_l[side, i] = xi, s_i, n_i + xi * s_i
-        x[i], s_x[i], ds_x[i] = xi, s_i, ds_i
-        mix = (ts[i] - end_s[1, i]) / (end_s[0, i] - end_s[1, i])
-        lower[i] = np.maximum(lower[i], mix * end_l[0, i] + (1.0 - mix) * end_l[1, i])
-
+            x = x - (s_x - t) / np.where(ds_x < 0.0, ds_x, np.nan)
+        state[2] = x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        # a column stays open until its gap closes or its bracket is one ulp
+        keep = (best - lower > TRUNCATION_REL_GAP * best) & (lo < x) & (x < hi)
+        if not keep.all():
+            closed.append(state[:, ~keep])
+            state, moduli = state[:, keep], moduli[keep]
+            if state.size == 0:
+                break
+            t, top, x, s_x, ds_x, lo, s_lo, l_lo, hi, s_hi, l_hi, best, _, _, lower, _ = state
+        n_x, s_x, ds_x = at(moduli, top, x)
+        phi = n_x + t * x
+        np.copyto(state[11:14], (phi, x, n_x), where=phi < best)
+        # x replaces the bracket end on its side of s = t
+        side = s_x <= t
+        ends = np.array([x, s_x, n_x + x * s_x])
+        np.copyto(state[8:11], ends, where=side)
+        np.copyto(state[5:8], ends, where=~side)
+        state[3:5] = s_x, ds_x
+        mix = (t - s_hi) / (s_lo - s_hi)
+        np.maximum(lower, mix * l_lo + (1.0 - mix) * l_hi, out=lower)
+    done = np.concatenate(closed + [state], axis=1)
+    result = np.empty((4, done.shape[1]))
+    result[:, done[15].astype(np.intp)] = done[11:15]
+    best, levels, a0n, lower = result
     gaps = np.maximum(best - lower, 0.0)
     bad = np.flatnonzero(gaps > SOLVER_REL_GAP * best)
     if bad.size:
         j = int(bad[0])
+        row = f" of row {j // size}" if a.ndim == 2 else ""
         raise NumericalFailure(
-            f"K solve at t = {ts[j]:.6g} stopped at {best[j]:.6g} with gap {gaps[j]:.3e}",
+            f"K solve{row} at t = {ts[j % size]:.6g} stopped at {best[j]:.6g} "
+            f"with gap {gaps[j]:.3e}",
             best_value=float(best[j]),
             gap=float(gaps[j]),
         )
-    return best, levels, a0n, gaps
+    shape = a.shape[:-1] + ts.shape
+    return best.reshape(shape), levels.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
 
 
 def _pgd_box(
@@ -338,6 +375,11 @@ def _pgd_box(
     )
 
 
+def _by_rows(route, fv: np.ndarray):
+    """``route(row)`` for each row of a stack, every output stacked by row."""
+    return tuple(np.stack(out) for out in zip(*map(route, fv)))
+
+
 def _exponents(couple: Couple):
     return effective_exponent(couple.norm0), effective_exponent(couple.norm1)
 
@@ -404,8 +446,11 @@ def _d_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     minimal at a vertex of their 2-d image, which puts the atoms with
     c1 |f_i|^(p0 - p1) > c2 on one side.  Either way slot 0 holds the bottom
     k or the top n - k moduli for some k.  Returns values, split norms and,
-    per t, the mask of atoms in slot 0.
+    per t, the mask of atoms in slot 0; an (m, n) stack takes one row at a
+    time.
     """
+    if fv.ndim == 2:
+        return _by_rows(lambda row: _d_values(couple, row, ts), fv)
     p0, p1 = _exponents(couple)
     a = np.abs(fv)
     order = np.argsort(a, kind="stable")
@@ -452,17 +497,17 @@ class KProfile:
 
 def _validate_profile(prof: KProfile, tol: float = PROFILE_TOL):
     ts, vs = prof.t_grid, prof.values
-    scale = max(float(np.max(vs, initial=0.0)), 1e-300)
+    scale = np.maximum(np.max(vs, axis=-1, keepdims=True, initial=0.0), 1e-300)
     slack = tol * scale + 1e-15
     if np.any(np.diff(vs) < -slack):
         raise InternalConsistencyError(f"{prof.kind} profile is not nondecreasing")
     if prof.kind == "K":
         ratio = vs / ts
-        if np.any(np.diff(ratio) > tol * np.abs(ratio[:-1]) + 1e-15):
+        if np.any(np.diff(ratio) > tol * np.abs(ratio[..., :-1]) + 1e-15):
             raise InternalConsistencyError("K(t)/t fails to be nonincreasing")
         if ts.size >= 3:
             t1, t2, t3 = ts[:-2], ts[1:-1], ts[2:]
-            v1, v2, v3 = vs[:-2], vs[1:-1], vs[2:]
+            v1, v2, v3 = vs[..., :-2], vs[..., 1:-1], vs[..., 2:]
             chord = ((t3 - t2) * v1 + (t2 - t1) * v3) / (t3 - t1)
             if np.any(v2 < chord - slack):
                 raise InternalConsistencyError("K profile fails concavity")
@@ -472,23 +517,31 @@ def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     """K over a grid, picking the fastest applicable route.
 
     (l1, sup) takes the closed form, a sup side otherwise the truncation-level
-    solve, and finite pairs the projected gradient.  Returns values, split
-    norms and certified gaps (zero for the closed form).
+    solve, and finite pairs the projected gradient.  ``fv`` is one vector or
+    an (m, n) stack: the truncation solve takes the whole stack, the other
+    routes one row at a time.  Returns values, split norms and certified gaps
+    (zero for the closed form).
     """
     space = couple.space
     p0, p1 = _exponents(couple)
     w = space.weights
-    if p1 == INF:
-        a = np.abs(fv)
-        if p0 == 1.0:
-            vals, levels, a0n = rearrangement_integral(w, a, ts)
-            return vals, a0n, levels, np.zeros_like(ts)
-        vals, levels, a0n, gaps = _k_truncation(w, a, p0, ts)
+    if p1 == INF and p0 != 1.0:
+        vals, levels, a0n, gaps = _k_truncation(w, np.abs(fv), p0, ts)
         return vals, a0n, levels, gaps
     if p0 == INF:
         swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
         vals, a0n, a1n, gaps = _k_values(swapped, fv, (1.0 / ts)[::-1])
-        return ts * vals[::-1], a1n[::-1].copy(), a0n[::-1], ts * gaps[::-1]
+        return (
+            ts * vals[..., ::-1],
+            a1n[..., ::-1].copy(),
+            a0n[..., ::-1],
+            ts * gaps[..., ::-1],
+        )
+    if fv.ndim == 2:
+        return _by_rows(lambda row: _k_values(couple, row, ts), fv)
+    if p1 == INF:
+        vals, levels, a0n = rearrangement_integral(w, np.abs(fv), ts)
+        return vals, a0n, levels, np.zeros_like(ts)
     rows = []
     for t in ts:
         value, dec, gap = _k_numeric_full(couple, fv, float(t))
@@ -497,17 +550,30 @@ def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     return vals, a0n, a1n, gaps
 
 
+def _vectors_of(f, n: int) -> np.ndarray:
+    """One coerced vector, or an (m, n) stack coerced row by row."""
+    if np.ndim(f) != 2:
+        return values_of(f, n)
+    if len(f) == 0:
+        raise DomainError("a stack of vectors needs at least one row")
+    return np.stack([values_of(row, n) for row in f])
+
+
 def profile(kind: str, couple: Couple, f, t_grid, validate: bool = True) -> KProfile:
-    """Evaluate K or D over a grid and check the shape invariants."""
+    """Evaluate K or D over a grid and check the shape invariants.
+
+    ``f`` is one vector, giving arrays over the grid, or an (m, n) stack,
+    giving (m, T) arrays whose row i belongs to f[i]; every row is validated.
+    """
     if kind not in ("K", "D"):
         raise DomainError(f"profile kind must be 'K' or 'D', got {kind!r}")
     ts = _as_grid(t_grid)
-    fv = values_of(f, couple.space.n)
+    fv = _vectors_of(f, couple.space.n)
     if kind == "K":
         vals, a0n, a1n, gaps = _k_values(couple, fv, ts)
     else:
         vals, a0n, a1n, _ = _d_values(couple, fv, ts)
-        gaps = np.zeros_like(ts)
+        gaps = np.zeros_like(vals)
     prof = KProfile(
         kind=kind, t_grid=ts, values=vals, a0_norms=a0n, a1_norms=a1n, gaps=gaps
     )
@@ -668,6 +734,18 @@ def check_k_power_sandwich(
 # ---------------------------------------------------------------------------
 
 
+def k_order_breaks(prof: KProfile, slack: float = ORDER_GRID_SLACK):
+    """Where a K profile of the stack [f, g] breaks K(t, g) <= K(t, f).
+
+    The comparison allows slack K(t, f) plus both certified gaps, and a NaN
+    value breaks it.  Returns the mask of broken grid points and the
+    tolerance.
+    """
+    (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
+    tol = slack * np.maximum(kf, 1e-300) + gap_f + gap_g
+    return ~(kg <= kf + tol), tol
+
+
 def k_order_dominates(
     couple: Couple, f, g, t_grid=None, slack: float = ORDER_GRID_SLACK
 ) -> bool:
@@ -682,10 +760,10 @@ def k_order_dominates(
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
     fv = values_of(f, couple.space.n)
     gv = values_of(g, couple.space.n)
-    kf = profile("K", couple, fv, ts, validate=False)
-    kg = profile("K", couple, gv, ts, validate=False)
-    tol = slack * np.maximum(kf.values, 1e-300) + kf.gaps + kg.gaps
-    grid_ok = bool(np.all(kg.values <= kf.values + tol))
+    broken, _ = k_order_breaks(
+        profile("K", couple, np.stack([fv, gv]), ts, validate=False), slack
+    )
+    grid_ok = not broken.any()
     if is_l1_linf(couple):
         exact_ok = weighted_weak_submajorizes(couple.space, fv, gv)
         if exact_ok and not grid_ok:

@@ -27,6 +27,7 @@ from caldera.extend import (
     default_alpha,
     greedy_hb_extension_row,
     holder_extension_row,
+    holder_rows,
     lift_certified,
     lift_operator,
     verify_lift,
@@ -605,6 +606,25 @@ def test_non_finite_entries_raise_domain_error(name, bad):
     call = _non_finite_entry_points()[name]
     with pytest.raises(DomainError, match="finite"):
         call(np.array([bad, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_prescriptions_raise_domain_error(bad):
+    H = _identity_majorant(3, alpha=2.0, p=2.0)
+    f = [1.0, 2.0, 3.0]
+    with pytest.raises(DomainError, match="vector entries must be finite"):
+        holder_extension_row(H, f, bad, 0)
+    with pytest.raises(DomainError, match="vector entries must be finite"):
+        holder_rows(H, f, np.array([1.0, bad]), np.array([0, 1]))
+
+
+def test_lift_power_overflow_names_p_and_the_power():
+    # finite entries (max |f| about 18.2) whose alpha |f|^p is past the
+    # largest double at p = 200
+    inst = generate_instance(1, 8, p=200.0, k_ordered=True)
+    assert np.all(np.isfinite(inst.f)) and np.all(np.isfinite(inst.g))
+    with pytest.raises(DomainError, match=r"alpha \|f\|\^p overflows at p = 200"):
+        lift_operator(inst.couple, inst.f, inst.g, 200.0)
 
 
 def test_audit_sample_counts_are_checked_up_front():

@@ -351,6 +351,112 @@ def test_truncation_route_matches_bounded_scipy_oracle():
             assert value == pytest.approx(n_c + t * c, rel=1e-15)
 
 
+def _sup_side_stack(rng, i):
+    # two to five vectors on one space: one all-zero row, ties across rows
+    # (a copied row) and within them, zeros, n = 1 on every tenth draw
+    w, a = _sup_side_draw(rng, i)
+    m = int(rng.integers(2, 6))
+    stack = 10.0 ** rng.uniform(-3, 3, size=(m, a.size))
+    stack[0] = a
+    stack[rng.random(stack.shape) < 0.15] = 0.0
+    stack[int(rng.integers(1, m))] = 0.0
+    if m > 2:
+        stack[2] = stack[0]
+    return w, stack
+
+
+def test_batched_truncation_rows_match_one_vector_solves():
+    rng = np.random.default_rng(79)
+    exponents = (1.001, 1.01, 1.5, 2.0, 3.0, 6.0, 40.0, 120.0)
+    for i in range(1000):
+        w, stack = _sup_side_stack(rng, i)
+        p0 = exponents[i % len(exponents)]
+        ts = np.unique(10.0 ** rng.uniform(-5, 5, size=6))
+        vals, levels, a0n, gaps = _k_truncation(w, stack, p0, ts)
+        assert vals.shape == levels.shape == a0n.shape == gaps.shape == (len(stack), ts.size)
+        assert np.all(gaps <= kfunc.TRUNCATION_REL_GAP * vals)
+        for row, value, level, n_c in zip(stack, vals, levels, a0n):
+            one = _k_truncation(w, row, p0, ts)
+            # dgemv may block a stack's rows differently from one vector
+            assert np.all(np.abs(value - one[0]) <= 2e-15 * one[0])
+            assert np.all(one[3] <= kfunc.TRUNCATION_REL_GAP * one[0])
+            # phi is flat near its minimum, so the level itself may move
+            assert np.all((0.0 <= level) & (level <= row.max(initial=0.0)))
+            assert np.allclose(n_c + ts * level, value, rtol=1e-15, atol=0.0)
+        assert np.all(vals[np.all(stack == 0.0, axis=1)] == 0.0)
+
+
+def test_batched_truncation_matches_bounded_scipy_oracle():
+    rng = np.random.default_rng(83)
+    for i in range(60):
+        w, stack = _sup_side_stack(rng, i)
+        p0 = float(rng.choice(SUP_SIDE_EXPONENTS[1:]))
+        ts = np.sort(10.0 ** rng.uniform(-6, 6, size=3))
+        vals, _, _, gaps = _k_truncation(w, stack, p0, ts)
+        for row, row_vals, row_gaps in zip(stack, vals, gaps):
+            for t, value, gap in zip(ts, row_vals, row_gaps):
+                expected = oracle_k_sup_side(w, row, p0, t)
+                assert value <= expected * (1 + 4e-15)
+                assert value - gap <= expected * (1 + 4e-15)
+
+
+def _route_couples(space):
+    return {
+        "l1-sup closed form": l1_linf_couple(space),
+        "truncation": convexify_couple(l1_linf_couple(space), 2.0),
+        "sup-lp swap": Couple(space=space, norm0=WeightedP(INF), norm1=WeightedP(3.0)),
+        "sup-l1 swap": Couple(space=space, norm0=WeightedP(INF), norm1=WeightedP(1.0)),
+        "finite pair": Couple(space=space, norm0=WeightedP(2.0), norm1=WeightedP(3.0)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["K", "D"])
+def test_profile_of_a_stack_matches_profiles_of_its_rows(kind):
+    rng = np.random.default_rng(89)
+    sp = _rand_space(rng, 3)
+    stack = np.stack([_rand_f(rng, 3), np.zeros(3), [1.0, -1.0, 0.0], _rand_f(rng, 3)])
+    ts = default_t_grid(1e-2, 1e2, 7)
+    for route, couple in _route_couples(sp).items():
+        prof = profile(kind, couple, stack, ts)
+        assert prof.values.shape == (4, ts.size), route
+        batched = kind == "K" and route in ("truncation", "sup-lp swap")
+        for i, row in enumerate(stack):
+            one = profile(kind, couple, row, ts)
+            if batched:
+                assert np.all(np.abs(prof.values[i] - one.values) <= 2e-15 * one.values)
+                assert np.allclose(
+                    prof.a0_norms[i] + ts * prof.a1_norms[i], prof.values[i], rtol=1e-14
+                )
+                continue
+            for got, want in zip(
+                (prof.values, prof.a0_norms, prof.a1_norms, prof.gaps),
+                (one.values, one.a0_norms, one.a1_norms, one.gaps),
+            ):
+                assert np.array_equal(got[i], want), route
+
+
+def test_profile_of_a_stack_checks_each_row():
+    couple = convexify_couple(l1_linf_couple(_uniform(3)), 2.0)
+    ts = default_t_grid(0.1, 10.0, 5)
+    with pytest.raises(DimensionMismatch):
+        profile("K", couple, np.ones((2, 4)), ts)
+    with pytest.raises(DomainError, match="finite"):
+        profile("K", couple, [[1.0, 2.0, 3.0], [1.0, math.nan, 3.0]], ts)
+    with pytest.raises(DomainError, match="at least one"):
+        profile("K", couple, np.ones((0, 3)), ts)
+    with pytest.raises(DomainError, match="finite"):
+        k_order_dominates(couple, [1.0, 2.0, 3.0], [1.0, math.inf, 0.0], ts)
+
+
+def test_truncation_failure_in_a_stack_names_the_row(monkeypatch):
+    monkeypatch.setattr(kfunc, "TRUNCATION_MAX_ITER", 0)
+    couple = Couple(space=_uniform(3), norm0=WeightedP(2.0), norm1=WeightedP(INF))
+    stack = [[0.0, 0.0, 0.0], [3.0, 1.0, 2.0]]
+    with pytest.raises(NumericalFailure, match=r"of row 1 at t = 1\.3 .* gap ") as info:
+        profile("K", couple, stack, [0.5, 1.3, 4.0])
+    assert info.value.gap > kfunc.SOLVER_REL_GAP * info.value.best_value
+
+
 def test_truncation_route_closed_forms():
     ts = default_t_grid(1e-3, 1e3, 25)
     for p0 in SUP_SIDE_EXPONENTS:
@@ -720,6 +826,41 @@ def test_k_order_matches_prefix_sums_on_uniform_weights():
         assert k_order_dominates(couple, f, g) == expected
         agree += 1
     assert agree == 40
+
+
+def _order_by_single_profiles(couple, f, g, ts):
+    """The ordering rule on two separate one-vector profiles."""
+    kf = profile("K", couple, f, ts, validate=False)
+    kg = profile("K", couple, g, ts, validate=False)
+    tol = kfunc.ORDER_GRID_SLACK * np.maximum(kf.values, 1e-300) + kf.gaps + kg.gaps
+    return bool(np.all(kg.values <= kf.values + tol))
+
+
+def test_k_order_decisions_match_one_vector_profiles():
+    from caldera.extend import _require_k_ordering
+
+    rng = np.random.default_rng(97)
+    ts = default_t_grid()
+    decisions = set()
+    for i in range(120):
+        n = int(rng.integers(1, 12))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        couple = convexify_couple(l1_linf_couple(_uniform(n)), p)
+        f = _rand_f(rng, n)
+        g = _substochastic(rng, n) @ f
+        if i % 2:
+            # unordered, or ordered only barely, on most odd draws
+            g = g * float(rng.uniform(1.0, 3.0)) + float(rng.uniform(0.0, 0.5)) * np.abs(f)
+        expected = _order_by_single_profiles(couple, f, g, ts)
+        assert k_order_dominates(couple, f, g) == expected
+        try:
+            _require_k_ordering(couple, f, g)
+            lifted = True
+        except DomainError:
+            lifted = False
+        assert lifted == expected
+        decisions.add(expected)
+    assert decisions == {True, False}
 
 
 def test_k_order_convexified_couple_grid_route():

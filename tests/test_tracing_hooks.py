@@ -51,3 +51,21 @@ def test_tracer_patches_and_restores_every_hooked_global(monkeypatch):
         after = vars(module)
         for name, value in before[module.__name__].items():
             assert after[name] is value, f"{module.__name__}.{name} not restored"
+
+
+def test_traced_lift_and_instance_keep_the_k_work_under_kfunc_profile(monkeypatch):
+    tracer = _load_tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "timed"
+        inst = caldera.instances.generate_instance(3, 5, p=2.0, k_ordered=True)
+        generated = dict(tracer.layer_totals("timed"))
+        tracer.spans.clear()
+        caldera.extend.lift_operator(inst.couple, inst.f, inst.g, 2.0, audit_samples=50)
+        lifted = tracer.layer_totals("timed")
+    finally:
+        tracer.uninstall()
+    assert generated["kfunc.profile.calls"] >= 1
+    assert lifted["kfunc.profile.calls"] >= 1
+    assert lifted["extend.lift.calls"] == 1
+    assert lifted["majorize.construct.calls"] == 1
