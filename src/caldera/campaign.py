@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .extend import (
-    DOMINATION_SLACK,
-    RESIDUAL_BUDGET,
-    check_minkowski,
-    lift_operator,
-    norm_bound,
-)
+from .extend import check_minkowski, lift_operator, lift_violations
 from .instances import generate_instance, orchestration_rng, payload_rng
 from .kfunc import (
     check_d_power_sandwich,
@@ -220,10 +212,12 @@ def _run_lift(config, index, p, method):
         audit_samples=1000,
         seed=(config.seed << 16) + index,
     )
-    bound = norm_bound(p) + DOMINATION_SLACK
-    violations = result.domination_violations
-    violations += int(result.residual_lf_g > RESIDUAL_BUDGET)
-    violations += sum(int(r > bound) for r in result.norm_sample_ratios)
+    violations = lift_violations(
+        result.residual_lf_g,
+        result.domination_violations,
+        result.norm_sample_ratios,
+        p,
+    )
     ratio = max(result.norm_sample_ratios)
     return n, p, ratio, violations, result.residual_lf_g
 
@@ -311,27 +305,13 @@ def _evaluate(config: CampaignConfig, entry) -> CampaignRow:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CALDERA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_campaign(
     config: CampaignConfig,
     report_path: str | None = None,
     json_path: str | None = None,
 ) -> CampaignReport:
-    entries = _plan(config)
-    workers = _thread_count()
     start = time.perf_counter()
-    if workers > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda e: _evaluate(config, e), entries))
-    else:
-        rows = [_evaluate(config, e) for e in entries]
+    rows = [_evaluate(config, e) for e in _plan(config)]
     total = time.perf_counter() - start
     report = CampaignReport(
         config=config,

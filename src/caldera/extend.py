@@ -49,13 +49,18 @@ def norm_bound(p: float) -> float:
     return 2.0 ** (1.0 - 1.0 / p)
 
 
+def lift_violations(residual: float, violations: int, ratios, p: float) -> int:
+    """Broken lift certificates: domination violations, a residual over budget
+    and each sampled norm ratio over the bound.  A NaN residual or ratio counts
+    as broken."""
+    bound = norm_bound(p) + DOMINATION_SLACK
+    broken = violations + int(not residual <= RESIDUAL_BUDGET)
+    return broken + sum(int(not r <= bound) for r in ratios)
+
+
 def lift_certified(residual: float, violations: int, ratios, p: float) -> bool:
     """The lift certificate: residual, domination and sampled norm ratios."""
-    return (
-        residual <= RESIDUAL_BUDGET
-        and violations == 0
-        and all(r <= norm_bound(p) + DOMINATION_SLACK for r in ratios)
-    )
+    return lift_violations(residual, violations, ratios, p) == 0
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,16 @@ Three computational routes live here:
 * a closed form for the (l1, linf) couple via the weighted decreasing
   rearrangement (the profile is piecewise linear in t; the integral itself
   is :func:`caldera.majorize.rearrangement_integral`),
-* a general numerical solver over sign-compatible dominated splittings
-  (a Newton solve for the optimal truncation level, certified by a dual
-  pairing, when one exponent is infinite; projected gradient over the box
-  otherwise),
+* certified solves over sign-compatible dominated splittings: a Newton
+  solve for the optimal truncation level when one exponent is infinite, and
+  for the multiplier of the Pareto curve of the two norms when both are
+  finite, each certified by a dual pairing,
 * D as the best of the 2(n+1) disjoint splits that put the bottom k or the
   top n - k moduli in slot 0, exact on every couple.
 
 Profiles take one vector or an (m, n) stack.  The truncation-level solve is
-one batched Newton loop over every (vector, t) problem still open; the other
-routes take a stack row by row.
+one batched Newton loop over every (vector, t) problem still open, the
+multiplier solve one loop over the t-grid of each row.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  The K-ordering
@@ -44,7 +44,6 @@ from .lattice import (
     dual_p_norm,
     effective_exponent,
     is_l1_linf,
-    norm,
     values_of,
     vector,
     weighted_p_norm,
@@ -53,10 +52,9 @@ from .majorize import rearrangement_integral, weighted_weak_submajorizes
 
 # relative accuracy contract of the numerical K solver
 SOLVER_REL_GAP = 1e-6
-SOLVER_MAX_ITER = 100_000
 
-# certified relative gap at which the truncation-level solve stops, and its
-# iteration cap
+# certified relative gap at which the truncation-level and multiplier solves
+# stop, and their iteration cap
 TRUNCATION_REL_GAP = 1e-15
 TRUNCATION_MAX_ITER = 200
 
@@ -267,112 +265,120 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
     return best.reshape(shape), levels.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
 
 
-def _pgd_box(
-    w: np.ndarray,
-    v: np.ndarray,
-    p0: float,
-    p1: float,
-    t: float,
-    max_iter: int = SOLVER_MAX_ITER,
-    rel_gap: float = SOLVER_REL_GAP,
-):
-    """Projected gradient over the box 0 <= u <= v for finite exponents.
+def _logit_roots(z: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Roots y of a y + (b - a) log(1 + e^y) = z, elementwise, for a, b >= 0.
 
-    Minimizes N0(u) + t N1(v - u).  Termination is by a certified duality
-    gap: any z with dual0(z) <= 1 and dual1(z) <= t yields the lower bound
-    <z, v>, and rescaled norm gradients supply such a z that closes the gap
-    at every stationary point, faces of the box included.  Barzilai-Borwein
-    steps with a backtracking line search keep progress monotone.
+    The left side increases, convex for b > a and concave otherwise, so Newton
+    from z / b when z > 0, else from z / a, is monotone.  With a or b zero it
+    is bounded on one side, and roots past the bound are -inf or inf.
     """
-
-    def n_and_grad(x: np.ndarray, p: float):
-        val = weighted_p_norm(w, x, p)
-        if p == 1.0:
-            return val, w.copy()
-        if val == 0.0:
-            return 0.0, np.zeros_like(x)
-        return val, w * (x / val) ** (p - 1.0)
-
-    def phi(u: np.ndarray) -> float:
-        return weighted_p_norm(w, u, p0) + t * weighted_p_norm(w, v - u, p1)
-
-    def dual_bound(g0: np.ndarray, g1: np.ndarray) -> float:
-        # two candidate multipliers built from the side gradients; each gets
-        # shrunk onto the feasible dual box before the pairing is taken
-        lb = 0.0
-        for z in (g0, t * g1):
-            d0 = dual_p_norm(w, z, p0)
-            d1 = dual_p_norm(w, z, p1)
-            scale = min(
-                1.0 / d0 if d0 > 1.0 else 1.0,
-                t / d1 if d1 > t else 1.0,
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(z > 0.0, z / b, z / a)
+    y[(z <= 0.0) & (a == 0.0)] = -INF
+    y[(z >= 0.0) & (b == 0.0)] = INF
+    free = np.isfinite(y)
+    for _ in range(TRUNCATION_MAX_ITER):
+        yf = y[free]
+        low, high = np.minimum(yf, 0.0), np.maximum(yf, 0.0)
+        s = np.log1p(np.exp(low - high))  # log(1 + e^-|y|): the terms never cancel
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (a * low + b * high + (b - a) * s - z[free]) / (
+                np.exp(-s) * (a * np.exp(-high) + b * np.exp(low))
             )
-            lb = max(lb, scale * float(np.dot(z, v)))
-        return lb
+        y[free] = yf - step
+        moving = np.abs(step) > 4.0 * np.spacing(1.0 + np.abs(yf))
+        if not moving.any():
+            break
+        free[free] = moving
+    return y
 
-    # initial sweep over truncation-style candidates
-    quantiles = np.quantile(v[v > 0], [0.25, 0.5, 0.75]) if np.any(v > 0) else []
-    candidates = [np.zeros_like(v), v.copy(), 0.5 * v]
-    for c in quantiles:
-        candidates.append(np.maximum(v - c, 0.0))
-        candidates.append(np.minimum(v, c))
-    u = min(candidates, key=phi).copy()
 
-    fu = phi(u)
-    best_u, best_f = u.copy(), fu
-    best_lb = 0.0
-    step = 1.0
-    prev_u = None
-    prev_g = None
-    stalls = 0
-    for _ in range(max_iter):
-        n0, g0 = n_and_grad(u, p0)
-        n1, g1 = n_and_grad(v - u, p1)
-        g = g0 - t * g1
-        fu = n0 + t * n1
-        if fu < best_f:
-            best_f, best_u = fu, u.copy()
-        best_lb = max(best_lb, dual_bound(g0, g1))
-        gap = max(best_f - best_lb, 0.0)
-        if gap <= rel_gap * max(best_f, 1e-300):
-            return best_f, best_u, gap
-        if prev_u is not None:
-            s = u - prev_u
-            y = g - prev_g
-            sy = float(np.dot(s, y))
-            if sy > 0.0:
-                step = float(np.dot(s, s)) / sy
-            step = min(max(step, 1e-14), 1e14)
-        prev_u, prev_g = u, g
-        # backtracking on the projection arc
-        accepted = False
-        trial_step = step
-        for _ in range(120):
-            u_new = np.clip(u - trial_step * g, 0.0, v)
-            f_new = phi(u_new)
-            decrease = float(np.dot(g, u - u_new))
-            if f_new <= fu - 1e-4 * decrease and not np.array_equal(u_new, u):
-                u = u_new
-                step = trial_step
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            # restart the step memory once before giving up; the gradient
-            # scale can change by many orders across the box
-            stalls += 1
-            prev_u = prev_g = None
-            step = 1.0
-            if stalls >= 3:
-                break
-    gap = max(best_f - best_lb, 0.0)
-    if gap <= rel_gap * max(best_f, 1e-300):
-        return best_f, best_u, gap
-    raise NumericalFailure(
-        f"projected gradient stopped at t = {t:.6g} with gap {gap:.3e} above target",
-        best_value=best_f,
-        gap=gap,
-    )
+def _k_finite(w: np.ndarray, v: np.ndarray, p0: float, p1: float, ts: np.ndarray):
+    """K over a grid on a couple with two finite exponents, for moduli ``v``.
+
+    Optimal splits u lie on the Pareto curve of (N0(u), N1(v - u)), whose
+    parameter is the multiplier L: each atom solves (p0 - 1) log u_i
+    - (p1 - 1) log(v_i - u_i) = L, and u is optimal at log t = T(L) =
+    L + (p1 - 1) log N1 - (p0 - 1) log N0, nondecreasing in L.  Each t is a
+    root of T, by Newton steps that bisect when they leave the bracket.  Norms
+    come from log u and log(v - u), finite where v - u underflows.  Each
+    side's gradient, scaled onto the dual box, certifies a lower bound; any u
+    in [0, v] is feasible, so an inexact root only widens the gap.  Seeds at
+    u = 0 and u = v settle the end cases and p0 = p1.  A t leaves the batch
+    once its gap closes or its bracket is one ulp wide.
+
+    Returns values, split norms, gaps and the moduli of slot 0, one row per t.
+    """
+    n0v, n1v = weighted_p_norm(w, v, p0), weighted_p_norm(w, v, p1)
+    at_v = n0v <= ts * n1v
+    best = np.where(at_v, n0v, ts * n1v)
+    a0n, a1n = np.where(at_v, n0v, 0.0), np.where(at_v, 0.0, n1v)
+    u = np.where(at_v[:, None], v, 0.0)
+    if p0 == p1 or not v.any():
+        return best, a0n, a1n, np.zeros_like(ts), u
+    keep = v > 0.0
+    w, v = w[keep], v[keep]
+    lw, lv = np.log(w), np.log(v)
+
+    def side(la: np.ndarray, p: float):
+        # N, grad N, (p - 1) log N and (p - 1) w e^(p la) / N^p at moduli e^la
+        if p == 1.0:
+            return np.exp(la) @ w, np.broadcast_to(w, la.shape), 0.0, 0.0
+        x = lw + p * la
+        top = x.max(axis=-1, keepdims=True)
+        lp = top[:, 0] + np.log(np.exp(x - top).sum(axis=-1))
+        grad = np.exp(lw + (p - 1.0) * (la - lp[:, None] / p))
+        share = (p - 1.0) * np.exp(x - lp[:, None])
+        return np.exp(lp / p), grad, (1.0 - 1.0 / p) * lp, share
+
+    def bound(z: np.ndarray, t: np.ndarray):
+        d0, d1 = dual_p_norm(w, z, p0), dual_p_norm(w, z, p1)
+        return (z @ v) / np.maximum(np.maximum(d0, d1 / t), 1.0)
+
+    g0, g1 = side(lv[None], p0)[1], side(lv[None], p1)[1]
+    lower = np.maximum(bound(g0, ts), bound(ts[:, None] * g1, ts))
+    y_best = np.where(at_v[:, None], INF, -INF) * np.ones(v.size)
+    c = (p0 - p1) * lv
+    # past the margin every |y| exceeds 40, so T is at its end value there
+    margin = 40.0 * (max(p0, p1) - 1.0) + abs(p1 - p0) + 1.0
+    lo, hi = np.full(ts.size, c.min() - margin), np.full(ts.size, c.max() + margin)
+    x, logt, live = 0.5 * (lo + hi), np.log(ts), np.ones(ts.size, dtype=bool)
+    for _ in range(TRUNCATION_MAX_ITER):
+        live &= (best - lower > TRUNCATION_REL_GAP * best) & (lo < x) & (x < hi)
+        k = np.flatnonzero(live)
+        if k.size == 0:
+            break
+        t, xk = ts[k], x[k]
+        y = _logit_roots(xk[:, None] - c, p0 - 1.0, p1 - 1.0)
+        neg, pos = np.logaddexp(0.0, -y), np.logaddexp(0.0, y)
+        n0, z0, lift0, h0 = side(lv - neg, p0)
+        n1, z1, lift1, h1 = side(lv - pos, p1)
+        phi = n0 + t * n1
+        better = phi < best[k]
+        j = k[better]
+        best[j], a0n[j], a1n[j] = phi[better], n0[better], n1[better]
+        y_best[j] = y[better]
+        lower[k] = np.fmax(lower[k], np.fmax(bound(z0, t), bound(t[:, None] * z1, t)))
+        tx = xk + lift1 - lift0 - logt[k]
+        lo[k[tx <= 0.0]], hi[k[tx > 0.0]] = xk[tx <= 0.0], xk[tx > 0.0]
+        # T' = 1 - sum of the shares times u'/u = e^-pos / g' and u'/s = e^-neg / g'
+        up, down = np.exp(-pos), np.exp(-neg)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pull = (h0 * up + h1 * down) / ((p0 - 1.0) * up + (p1 - 1.0) * down)
+            step = xk - tx / (1.0 - np.nansum(pull, axis=-1))  # pinned atoms: 0/0
+        x[k] = np.where((lo[k] < step) & (step < hi[k]), step, 0.5 * (lo[k] + hi[k]))
+    gaps = np.maximum(best - lower, 0.0)
+    bad = np.flatnonzero(~(gaps <= SOLVER_REL_GAP * best))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalFailure(
+            f"K solve at t = {ts[j]:.6g} stopped at {best[j]:.6g} "
+            f"with gap {gaps[j]:.3e}",
+            best_value=float(best[j]),
+            gap=float(gaps[j]),
+        )
+    u[:, keep] = v * np.exp(-np.logaddexp(0.0, -y_best))
+    return best, a0n, a1n, gaps, u
 
 
 def _by_rows(route, fv: np.ndarray):
@@ -390,27 +396,25 @@ def _k_numeric_full(couple: Couple, f, t: float):
     fv = values_of(f, space.n)
     w = space.weights
     p0, p1 = _exponents(couple)
-
+    a, ts = np.abs(fv), np.array([t])
     if p1 == INF:
-        a = np.abs(fv)
-        vals, levels, _, gaps = _k_truncation(w, a, p0, np.array([t]))
+        vals, levels, _, gaps = _k_truncation(w, a, p0, ts)
         u = np.maximum(a - float(levels[0]), 0.0)
-        return float(vals[0]), _split_from_modulus(space, fv, u), float(gaps[0])
-
-    if p0 == INF:
+    elif p0 == INF:
         swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
         val, dec, gap = _k_numeric_full(swapped, fv, 1.0 / t)
         return t * val, Decomposition(a0=dec.a1, a1=dec.a0), t * gap
-
-    best_f, best_u, gap = _pgd_box(w, np.abs(fv), p0, p1, t)
-    return best_f, _split_from_modulus(space, fv, best_u), gap
+    else:
+        vals, _, _, gaps, (u,) = _k_finite(w, a, p0, p1, ts)
+    return float(vals[0]), _split_from_modulus(space, fv, u), float(gaps[0])
 
 
 def k_numeric(couple: Couple, f, t: float):
     """Numerical K(t, f) with an explicit near-optimal splitting.
 
-    The returned value is within the solver's relative-gap contract of the
-    true infimum; a splitting achieving it accompanies the value.
+    The value is within the solver's relative-gap contract of the infimum,
+    with a splitting that attains it: the truncation-level solve on a couple
+    with a sup side, (l1, sup) included, the multiplier solve otherwise.
     """
     value, dec, _ = _k_numeric_full(couple, f, t)
     return value, dec
@@ -517,10 +521,10 @@ def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     """K over a grid, picking the fastest applicable route.
 
     (l1, sup) takes the closed form, a sup side otherwise the truncation-level
-    solve, and finite pairs the projected gradient.  ``fv`` is one vector or
-    an (m, n) stack: the truncation solve takes the whole stack, the other
-    routes one row at a time.  Returns values, split norms and certified gaps
-    (zero for the closed form).
+    solve, and finite pairs the multiplier solve.  ``fv`` is one vector or an
+    (m, n) stack: the truncation solve takes the whole stack, the other
+    routes one row at a time, each over the whole grid.  Returns values,
+    split norms and certified gaps (zero for the closed form).
     """
     space = couple.space
     p0, p1 = _exponents(couple)
@@ -542,12 +546,7 @@ def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     if p1 == INF:
         vals, levels, a0n = rearrangement_integral(w, np.abs(fv), ts)
         return vals, a0n, levels, np.zeros_like(ts)
-    rows = []
-    for t in ts:
-        value, dec, gap = _k_numeric_full(couple, fv, float(t))
-        rows.append((value, norm(couple.norm0, dec.a0), norm(couple.norm1, dec.a1), gap))
-    vals, a0n, a1n, gaps = np.array(rows).T
-    return vals, a0n, a1n, gaps
+    return _k_finite(w, np.abs(fv), p0, p1, ts)[:4]
 
 
 def _vectors_of(f, n: int) -> np.ndarray:

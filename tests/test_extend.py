@@ -30,6 +30,7 @@ from caldera.extend import (
     holder_rows,
     lift_certified,
     lift_operator,
+    lift_violations,
     verify_lift,
 )
 from caldera.kfunc import check_k_d_sandwich, d_exact, default_t_grid, profile
@@ -279,6 +280,22 @@ def test_nan_row_certificate_fails_closed(monkeypatch):
         holder_extension_row(H, [1.0, 2.0, 3.0], 1.0, 1)
     with pytest.raises(NumericalFailure, match="row 0: domination certificate"):
         lift_operator(base_couple(2), [2.0, 0.0], [1.0, 1.0], 2.0)
+
+
+def test_lift_violations_count_each_broken_certificate_fail_closed():
+    bound = extend.norm_bound(2.0)
+    assert lift_violations(0.0, 0, (1.0, bound), 2.0) == 0
+    assert lift_certified(0.0, 0, (1.0, bound), 2.0)
+    cases = [
+        ((2.0 * extend.RESIDUAL_BUDGET, 0, (1.0,)), 1),
+        ((math.nan, 0, (1.0,)), 1),
+        ((0.0, 3, (1.0,)), 3),
+        ((0.0, 0, (math.nan, 2.0 * bound, 1.0)), 2),
+        ((math.nan, 2, (math.nan,)), 4),
+    ]
+    for (residual, violations, ratios), expected in cases:
+        assert lift_violations(residual, violations, ratios, 2.0) == expected
+        assert not lift_certified(residual, violations, ratios, 2.0)
 
 
 def test_failed_row_certificate_names_row_value_and_gap(monkeypatch):
