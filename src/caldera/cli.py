@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -125,7 +126,9 @@ def _cmd_campaign(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="caldera",
         description=(

@@ -29,6 +29,7 @@ rule is defined once, in ``k_order_breaks``, on one profile of the stack
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -64,10 +65,14 @@ SANDWICH_TOL = 1e-9
 ORDER_GRID_SLACK = 1e-9
 
 
+@functools.lru_cache(maxsize=32)
 def default_t_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 61) -> np.ndarray:
+    """Geometric t-grid, built once per (lo, hi, count) and shared read-only."""
     if not (0.0 < lo < hi < INF) or count < 2:
         raise DomainError("need finite 0 < lo < hi and at least two grid points")
-    return np.geomspace(lo, hi, count)
+    grid = np.geomspace(lo, hi, count)
+    grid.flags.writeable = False
+    return grid
 
 
 def parse_t_grid(spec: str) -> tuple:
@@ -644,7 +649,7 @@ class PowerSandwichReport:
     corollary_ok: bool = True
 
 
-def _power_sandwich(kind, couple, f, p, t_grid, tol, solver_slack):
+def _power_sandwich(kind, couple, f, p, t_grid, tol):
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError("convexification exponent must lie in (1, inf)")
@@ -666,7 +671,7 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol, solver_slack):
 
     scale = np.maximum(lower, 1e-300)
     hard = tol * scale
-    soft = hard + solver_slack * scale + base_gap + conv_gap
+    soft = hard + base_gap + conv_gap
     violations = []
     flags = []
     for i, t in enumerate(ts):
@@ -699,7 +704,7 @@ def check_d_power_sandwich(
     couple: Couple, f, p: float, t_grid=None, rel_tol: float = SANDWICH_TOL
 ) -> PowerSandwichReport:
     """D(t, |f|^p)^(1/p) <= D(t^(1/p), f; convexified) <= 2^(1-1/p) times it."""
-    return _power_sandwich("D", couple, f, p, t_grid, rel_tol, 0.0)
+    return _power_sandwich("D", couple, f, p, t_grid, rel_tol)
 
 
 def check_k_power_sandwich(
@@ -708,19 +713,19 @@ def check_k_power_sandwich(
     p: float,
     t_grid=None,
     rel_tol: float = SANDWICH_TOL,
-    solver_slack: float = 2.0 * SOLVER_REL_GAP,
 ) -> PowerSandwichReport:
-    """Same two-sided comparison for K, with solver gaps kept separate.
+    """Same two-sided comparison for K, with the certified gaps of both K
+    solves added to the tolerance.
 
     Also verifies the squared corollary: K(t, |f|^p) <= 2^p K(t^(1/p), f)^p
     <= 2^(2p) K(t, |f|^p), which follows from the main chain and must hold
     with room to spare.
     """
-    report = _power_sandwich("K", couple, f, p, t_grid, rel_tol, solver_slack)
+    report = _power_sandwich("K", couple, f, p, t_grid, rel_tol)
     k_base = report.lower ** p
     k_conv_p = report.middle ** p
     scale = np.maximum(k_base, 1e-300)
-    slack = (rel_tol + p * solver_slack) * scale
+    slack = rel_tol * scale
     corollary_ok = bool(
         np.all(k_base <= 2.0 ** p * k_conv_p + slack)
         and np.all(2.0 ** p * k_conv_p <= 2.0 ** (2.0 * p) * k_base + 2.0 ** p * slack)

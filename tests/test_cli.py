@@ -8,7 +8,7 @@ import pytest
 
 from caldera import generate_instance, k_exact_l1_linf, save_instance
 from caldera.instances import instance_to_json
-from caldera.cli import main
+from caldera.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -120,6 +120,10 @@ def test_campaign_command_exit_status(tmp_path):
     )
     assert code == 0
     assert report.exists() and jsonout.exists()
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_cli_reports_errors_cleanly(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from caldera.extend import (
     verify_lift,
 )
 from caldera.kfunc import check_k_d_sandwich, d_exact, default_t_grid, profile
-from caldera.lattice import convexify_couple, dual_p_norm, norm, vector
+from caldera.lattice import convexify_couple, dual_p_norm, norm, norm_values, vector
 from caldera.majorize import (
     MAX_OPERATOR_SIZE,
     MatrixOperator,
@@ -657,3 +658,117 @@ def test_audit_sample_counts_are_checked_up_front():
     for count in (0, -1):
         with pytest.raises(DomainError, match="audit sample"):
             verify_lift(result, result.majorant, f, g, conv, samples=count)
+
+
+# ---------------------------------------------------------------------------
+# the blocked audit
+# ---------------------------------------------------------------------------
+
+
+def _one_shot_draw(samples, n, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.choice([-1.0, 1.0], size=(samples, n)) * 10.0 ** rng.uniform(
+        -2.0, 2.0, size=(samples, n)
+    )
+
+
+def _one_shot_audit(operator, majorant, f, g, conv, samples, seed):
+    """The audit over one (samples, n) draw: the oracle of the blocked audit."""
+    space = operator.space
+    residual = float(
+        np.max(np.abs(operator.apply(f) - g)) / (1.0 + np.max(np.abs(g)))
+    )
+    h = _one_shot_draw(samples, space.n, seed)
+    lh = h @ operator.entries.T
+    hh = majorant.values(h)
+    bad = ~np.isfinite(hh) | ~(np.abs(lh) <= hh * (1.0 + extend.DOMINATION_SLACK))
+    viol = int(np.sum(np.any(bad, axis=1)))
+    ratios = []
+    for spec in (conv.norm0, conv.norm1):
+        top = norm_values(spec, space, lh)
+        bot = norm_values(spec, space, h)
+        ratios.append(float(np.max(top / bot)))
+    return residual, viol, tuple(ratios)
+
+
+@pytest.mark.parametrize(
+    "samples, n, seed",
+    [(1, 1, 0), (997, 3, 5), (1000, 31, 1), (4000, 33, 2), (129, 256, 9), (7, 1, 3)],
+)
+def test_audit_blocks_replay_one_choice_and_uniform_draw(monkeypatch, samples, n, seed):
+    expected = _one_shot_draw(samples, n, seed)
+    blocks = list(extend._audit_samples(samples, n, seed))
+    assert len(blocks) == -(-samples // max(1, extend.AUDIT_BLOCK // n))
+    assert np.array_equal(np.concatenate(blocks), expected)
+    # odd-sized blocks carry a half-used 32-bit word from one block to the next
+    monkeypatch.setattr(extend, "AUDIT_BLOCK", 5 * n)
+    blocks = list(extend._audit_samples(samples, n, seed))
+    assert all(b.shape[0] <= 5 for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 34, 127, 128, 129, 256])
+def test_blocked_audit_equals_one_shot_audit(n):
+    p = (1.5, 2.0, 3.0)[n % 3]
+    inst = generate_instance(n, n, p=p, k_ordered=True)
+    lift = lift_operator(inst.couple, inst.f, inst.g, p, audit_samples=1)
+    conv = convexify_couple(inst.couple, p)
+    fv, gv = np.asarray(inst.f), np.asarray(inst.g)
+    for samples in (1, 997, 1000, 4000):
+        args = (lift.operator, lift.majorant, fv, gv, conv, samples, n + samples)
+        assert extend._audit_lift(*args) == _one_shot_audit(*args)
+
+
+def test_audit_memory_does_not_grow_with_the_sample_count():
+    n = 256
+    inst = generate_instance(3, n, p=2.0, k_ordered=True)
+    lift = lift_operator(inst.couple, inst.f, inst.g, 2.0, audit_samples=1)
+    conv = convexify_couple(inst.couple, 2.0)
+    tracemalloc.start()
+    try:
+        report = verify_lift(lift, lift.majorant, inst.f, inst.g, conv, samples=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # one (10000, 256) float64 array alone is 20.5 MB
+    assert peak < 8e6
+
+
+def test_a_nan_ratio_in_any_audit_block_reaches_the_certificate(monkeypatch):
+    couple = base_couple(2)
+    f, g = np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=1)
+    conv = convexify_couple(couple, 2.0)
+    monkeypatch.setattr(extend, "AUDIT_BLOCK", 8)  # 4 samples a block at n = 2
+    exact = extend.norm_values
+    calls = []
+
+    def nan_in_first_block(spec, space, rows):
+        calls.append(rows.shape[0])
+        values = exact(spec, space, rows)
+        return np.full_like(values, math.nan) if len(calls) == 1 else values
+
+    monkeypatch.setattr(extend, "norm_values", nan_in_first_block)
+    report = verify_lift(lift, lift.majorant, f, g, conv, samples=10)
+    assert calls == [4] * 8 + [2] * 4  # both norms of Lh and h in each block
+    assert math.isnan(report.norm_sample_ratios[0]) and not report.ok
+
+
+def test_non_finite_majorant_values_count_as_domination_violations():
+    # alpha |h|^p overflows on large samples at p = 160, so H(h) is inf or NaN
+    inst = generate_instance(1, 8, p=200.0, k_ordered=True)
+    p, samples = 160.0, 2000
+    with np.errstate(all="ignore"):
+        lift = lift_operator(inst.couple, inst.f, inst.g, p, audit_samples=samples)
+        h = _one_shot_draw(samples, 8, 0)
+        lh = h @ lift.operator.entries.T
+        hh = lift.majorant.values(h)
+        unbounded = ~np.isfinite(hh)
+        over = np.abs(lh) > hh * (1.0 + extend.DOMINATION_SLACK)
+    expected = int(np.sum(np.any(unbounded | over, axis=1)))
+    assert np.any(unbounded, axis=1).sum() > np.any(over, axis=1).sum()
+    assert lift.domination_violations == expected
+    assert not lift_certified(
+        lift.residual_lf_g, lift.domination_violations, lift.norm_sample_ratios, p
+    )

@@ -74,21 +74,22 @@ def oracle_k_truncation(weights, f, t, levels=20001):
     w = np.asarray(weights, dtype=float)
 
     def obj(c):
-        return float(np.sum(w * np.maximum(a - c, 0.0)) + t * c)
+        """The objective at every level of the 1-d array c."""
+        return np.sum(w * np.maximum(a - c[:, None], 0.0), axis=1) + t * c
 
     top = float(np.max(a, initial=0.0))
     if top == 0.0:
         return 0.0
     grid = np.linspace(0.0, top, levels)
-    vals = [obj(c) for c in grid]
+    vals = obj(grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, levels - 1)]
     fine = np.linspace(lo, hi, 2001)
-    best = min(obj(c) for c in fine)
+    best = float(np.min(obj(fine)))
     # candidate kinks: the moduli themselves are always worth probing
-    best = min(best, min(obj(c) for c in a))
-    return min(best, vals[i])
+    best = min(best, float(np.min(obj(a))))
+    return min(best, float(vals[i]))
 
 
 def oracle_d_subsets(couple, f, t):
@@ -699,6 +700,10 @@ def test_grid_specs_are_checked():
     with pytest.raises(DomainError):
         default_t_grid(math.nan, 1.0, 5)
     assert parse_t_grid("geometric:1e-3,1e3,61") == (1e-3, 1e3, 61)
+    # one grid per (lo, hi, count) and process, shared read-only
+    grid = default_t_grid(1e-3, 1e3, 61)
+    assert grid is default_t_grid(1e-3, 1e3, 61) and not grid.flags.writeable
+    assert np.array_equal(grid, np.geomspace(1e-3, 1e3, 61))
     for spec in ("geometric:1,2", "geometric:a,2,3", "geometric:1,2,3.5", "linear:0,1,5"):
         with pytest.raises(DomainError, match="geometric:lo,hi,count"):
             parse_t_grid(spec)
@@ -945,6 +950,28 @@ def test_check_k_power_sandwich_frozen_example_and_random():
         assert report.ok, report.violations
         assert report.corollary_ok
         assert report.max_ratio <= report.bound + 2e-6
+
+
+def test_k_power_sandwich_reports_a_shrunk_k_as_a_violation(monkeypatch):
+    # K on the convexified couple shrunk by a factor 1 - 1e-7 drops below
+    # K(t, |f|^p)^(1/p) far beyond both certified gaps: a counterexample,
+    # not an inconclusive solver flag
+    couple = l1_linf_couple(_uniform(5))
+    k_values = kfunc._k_values
+
+    def shrunk(c, fv, ts):
+        vals, a0, a1, gaps = k_values(c, fv, ts)
+        if c.norm0 != couple.norm0:
+            vals = vals * (1.0 - 1e-7)
+        return vals, a0, a1, gaps
+
+    honest = check_k_power_sandwich(couple, [5.0, 3.0, 2.0, 1.0, 0.5], 2.0)
+    assert honest.ok and honest.violations == () and honest.solver_flags == ()
+    monkeypatch.setattr(kfunc, "_k_values", shrunk)
+    report = check_k_power_sandwich(couple, [5.0, 3.0, 2.0, 1.0, 0.5], 2.0)
+    assert not report.ok
+    assert len(report.violations) == 55 and report.solver_flags == ()
+    assert {side for _, side, _ in report.violations} == {"below lower"}
 
 
 # ---------------------------------------------------------------------------
