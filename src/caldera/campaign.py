@@ -36,10 +36,9 @@ VALID_SUITES = (
     "maligranda",
     "minkowski",
     "lift-holder",
-    "lift-greedy",
     "lattice-props",
 )
-P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder", "lift-greedy"})
+P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder"})
 CSV_COLUMNS = (
     "suite",
     "instance",
@@ -73,7 +72,9 @@ class CampaignConfig:
             raise DomainError("need 1 <= n_min <= n_max")
         for s in self.suites:
             if s not in VALID_SUITES:
-                raise DomainError(f"unknown suite: {s!r}")
+                raise DomainError(
+                    f"unknown suite: {s!r}; valid suites: {', '.join(VALID_SUITES)}"
+                )
         if len(set(self.suites)) != len(self.suites):
             raise DomainError("duplicate suite names in config")
         for p in self.p_set:
@@ -200,7 +201,7 @@ def _run_minkowski(config, index, p):
     return n, p_row, None, len(report.violations), None
 
 
-def _run_lift(config, index, p, method):
+def _run_lift(config, index, p):
     n = _draw_size(config, index)
     inst = generate_instance(config.seed, n, p=p, k_ordered=True, index=index)
     result = lift_operator(
@@ -208,7 +209,6 @@ def _run_lift(config, index, p, method):
         inst.f,
         inst.g,
         p,
-        method=method,
         audit_samples=1000,
         seed=(config.seed << 16) + index,
     )
@@ -262,8 +262,7 @@ _SUITE_BODIES = {
     "claim1": _run_claim1,
     "maligranda": _run_maligranda,
     "minkowski": _run_minkowski,
-    "lift-holder": lambda c, i, p: _run_lift(c, i, p, "holder"),
-    "lift-greedy": lambda c, i, p: _run_lift(c, i, p, "greedy"),
+    "lift-holder": _run_lift,
     "lattice-props": _run_lattice_props,
 }
 

@@ -75,14 +75,11 @@ def _cmd_lift(args) -> int:
     inst = load_instance(args.instance)
     if inst.g is None:
         raise ValueError("instance has no second vector to lift onto")
-    alpha = None if args.alpha == "auto" else float(args.alpha)
     result = lift_operator(
         inst.couple,
         inst.f,
         inst.g,
         inst.p,
-        method=args.method,
-        alpha=alpha,
         audit_samples=args.audit_samples,
         seed=args.seed,
     )
@@ -155,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lf = sub.add_parser("lift", help="run the full extension pipeline on a pair")
     lf.add_argument("--instance", required=True)
-    lf.add_argument("--method", choices=["holder", "greedy"], default="holder")
-    lf.add_argument("--alpha", default="auto")
     lf.add_argument("--audit-samples", dest="audit_samples", type=int, default=2000)
     lf.add_argument("--seed", type=int, default=0)
     lf.add_argument("--out", required=True)

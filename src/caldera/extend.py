@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import DimensionMismatch, DomainError, NumericalFailure
 from .kfunc import default_t_grid, k_order_breaks, profile
 from .lattice import (
     INF,
@@ -28,6 +28,7 @@ from .lattice import (
     LatticeVector,
     convexify_couple,
     dual_p_norm,
+    effective_exponent,
     is_l1_linf,
     norm_values,
     values_of,
@@ -38,6 +39,8 @@ from .majorize import MatrixOperator, construct_positive_operator
 ROW_RESCALE_TOL = 1e-8
 RESIDUAL_BUDGET = 1e-8
 DOMINATION_SLACK = 1e-9
+# slack of the sampled Minkowski, homogeneity and subadditivity checks
+PROPERTY_TOL = 1e-12
 # float64 entries per audit block array: 256 KiB, about one L2 cache
 AUDIT_BLOCK = 32768
 
@@ -110,51 +113,48 @@ class PropertyReport:
         return self.ok
 
 
-def check_minkowski(
-    operator: MatrixOperator, h1, h2, p: float, abs_tol: float = 1e-12
-) -> PropertyReport:
+def check_minkowski(operator: MatrixOperator, h1, h2, p: float) -> PropertyReport:
     """Componentwise (G|h1+h2|^p)^(1/p) <= (G|h1|^p)^(1/p) + (G|h2|^p)^(1/p)."""
     # the subadditivity of the majorant with alpha = 1, which checks T and p
     majorant = SublinearMajorant(operator=operator, alpha=1.0, p=p)
     a = values_of(h1)
     b = values_of(h2)
     excess = majorant.values(a + b) - (majorant.values(a) + majorant.values(b))
-    bad = np.flatnonzero(excess > abs_tol)
+    bad = np.flatnonzero(excess > PROPERTY_TOL)
     violations = tuple((int(i), float(excess[i])) for i in bad)
     return PropertyReport(ok=not violations, checked=a.size, violations=violations)
 
 
 def check_sublinear(
-    majorant: SublinearMajorant,
-    sample_count: int = 10_000,
-    seed: int = 0,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-12,
+    majorant: SublinearMajorant, sample_count: int = 10_000, seed: int = 0
 ) -> PropertyReport:
-    """Sampled homogeneity H(c h) = |c| H(h) and subadditivity of H."""
+    """Sampled homogeneity H(c h) = |c| H(h) and subadditivity of H.
+
+    Sample k is row k = (h1 | h2 | c) of the blocked ``_audit_samples`` draw.
+    It is bad unless its four H values are finite and both properties hold.
+    """
+    if sample_count < 1:
+        raise DomainError(f"need at least one audit sample, got {sample_count}")
     n = majorant.operator.space.n
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    signs = rng.choice([-1.0, 1.0], size=(sample_count, 2 * n))
-    mags = 10.0 ** rng.uniform(-2.0, 2.0, size=(sample_count, 2 * n))
-    h1 = signs[:, :n] * mags[:, :n]
-    h2 = signs[:, n:] * mags[:, n:]
-    scal = rng.choice([-1.0, 1.0], size=sample_count) * 10.0 ** rng.uniform(
-        -2.0, 2.0, size=sample_count
-    )
-
-    base = majorant.values(h1)
-    scaled = majorant.values(scal[:, None] * h1)
-    hom_err = np.abs(scaled - np.abs(scal)[:, None] * base)
-    hom_bad = hom_err > rel_tol * np.maximum(scaled, 1e-300)
-
-    together = majorant.values(h1 + h2)
-    apart = base + majorant.values(h2)
-    sub_bad = together - apart > abs_tol
-
-    bad_rows = np.flatnonzero(np.any(hom_bad | sub_bad, axis=1))
-    violations = tuple(int(i) for i in bad_rows[:32])
+    violations: list = []
+    start = 0
+    for h in _audit_samples(sample_count, 2 * n + 1, seed):
+        h1, h2, c = h[:, :n], h[:, n:-1], h[:, -1:]
+        base = majorant.values(h1)
+        scaled = majorant.values(c * h1)
+        other = majorant.values(h2)
+        together = majorant.values(h1 + h2)
+        hom_err = np.abs(scaled - np.abs(c) * base)
+        held = (
+            np.all(np.isfinite([base, scaled, other, together]), axis=0)
+            & (hom_err <= PROPERTY_TOL * np.maximum(scaled, 1e-300))
+            & (together - (base + other) <= PROPERTY_TOL)
+        )
+        bad = np.flatnonzero(~np.all(held, axis=1))
+        violations.extend(int(start + i) for i in bad[: 32 - len(violations)])
+        start += h.shape[0]
     return PropertyReport(
-        ok=not violations, checked=sample_count, violations=violations
+        ok=not violations, checked=sample_count, violations=tuple(violations)
     )
 
 
@@ -214,16 +214,17 @@ def holder_rows(
 
 
 def holder_extension_row(
-    majorant: SublinearMajorant, f, g_i: float, i: int, slack: float = 0.0
+    majorant: SublinearMajorant, f, g_i: float, i: int
 ) -> np.ndarray:
     """Dominated row with l(f) = g_i: row i of ``holder_rows``."""
-    return holder_rows(majorant, f, [g_i], np.array([i]), slack)[0]
+    return holder_rows(majorant, f, [g_i], np.array([i]))[0]
 
 
 # Lift rows are saturated, |g_i| = H_i(f), and the weighted l_q dual ball is
 # strictly convex, so the Holder row is the only dominated extension
 # (Taylor 1939, Foguel 1958): a basis-by-basis greedy extension can only
-# recompute it.  The name stays for callers of the former greedy route.
+# recompute it.  The alias stays only because perfbench/tracing.py patches
+# it by name.
 greedy_hb_extension_row = holder_extension_row
 
 
@@ -335,7 +336,6 @@ def lift_operator(
     g,
     p: float,
     method: str = "holder",
-    alpha: float | None = None,
     audit_samples: int = 2000,
     seed: int = 0,
 ) -> LiftResult:
@@ -343,8 +343,9 @@ def lift_operator(
 
     The base couple must be the unweighted (l1, sup) pair; the ordering
     precondition is checked on its p-convexification before any construction
-    happens, then T(alpha*|f|^p) = |g|^p is solved for a positive
-    substochastic T and L is built and certified by ``holder_rows``.
+    happens, then T(alpha*|f|^p) = |g|^p with alpha = 2^(p-1) is solved for
+    a positive substochastic T and L is built and certified by
+    ``holder_rows``.
     """
     if not is_l1_linf(couple) or not couple.space.is_uniform():
         raise DomainError("lifting requires the unweighted (l1, sup) base couple")
@@ -352,10 +353,7 @@ def lift_operator(
         raise DomainError(f"unknown extension method: {method!r}")
     if not (1.0 < p < INF):
         raise DomainError("exponent must lie in (1, inf)")
-    if alpha is None:
-        alpha = default_alpha(p)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError("alpha must be a positive real")
+    alpha = default_alpha(p)
     if audit_samples < 1:
         raise DomainError(f"need at least one audit sample, got {audit_samples}")
     space = couple.space
@@ -375,7 +373,8 @@ def lift_operator(
     T = construct_positive_operator(space, source, target)
     majorant = SublinearMajorant(operator=T, alpha=alpha, p=p)
 
-    # both methods take the forced Holder rows; ``method`` is only recorded
+    # both methods take the forced Holder rows and ``method`` is only
+    # recorded; perfbench/workloads.py still passes "greedy"
     slack = 0.5 * RESIDUAL_BUDGET * (1.0 + float(np.max(np.abs(gv))))
     entries = holder_rows(majorant, fv, gv, np.arange(space.n), slack=slack)
     operator = MatrixOperator(space=space, entries=entries)
@@ -406,11 +405,18 @@ def verify_lift(
     samples: int = 10_000,
     seed: int = 1,
 ) -> VerifyReport:
-    """Recompute every lift certificate from scratch on a fresh sample set."""
+    """Recompute every lift certificate from scratch on a fresh sample set,
+    on ``couple_p``, the lift's couple convexified at ``result.p``."""
     if samples < 1:
         raise DomainError(f"need at least one audit sample, got {samples}")
-    fv = values_of(f)
-    gv = values_of(g)
+    space = result.operator.space
+    if couple_p.space.n != space.n:
+        raise DimensionMismatch(f"couple has {couple_p.space.n} atoms, lift {space.n}")
+    exponents = (effective_exponent(couple_p.norm0), effective_exponent(couple_p.norm1))
+    if exponents != (result.p, INF):
+        raise DomainError(f"couple exponents {exponents}, need ({result.p:g}, inf)")
+    fv = values_of(f, space.n)
+    gv = values_of(g, space.n)
     residual, viol, ratios = _audit_lift(
         result.operator, majorant, fv, gv, couple_p, samples, seed
     )

@@ -59,7 +59,8 @@ SOLVER_REL_GAP = 1e-6
 TRUNCATION_REL_GAP = 1e-15
 TRUNCATION_MAX_ITER = 200
 
-# profile and sandwich comparisons
+# decomposition, profile and sandwich comparisons
+DECOMPOSITION_TOL = 1e-12
 PROFILE_TOL = 1e-9
 SANDWICH_TOL = 1e-9
 ORDER_GRID_SLACK = 1e-9
@@ -123,10 +124,11 @@ class Decomposition:
         return bool(np.all(self.a0.values * self.a1.values == 0.0))
 
 
-def check_decomposition(f, dec: Decomposition, rel_tol: float = 1e-12) -> bool:
+def check_decomposition(f, dec: Decomposition) -> bool:
     fv = values_of(f)
     err = np.max(np.abs(dec.reconstruction() - fv), initial=0.0)
-    return err <= rel_tol * max(float(np.max(np.abs(fv), initial=0.0)), 1e-300) + 1e-300
+    scale = max(float(np.max(np.abs(fv), initial=0.0)), 1e-300)
+    return err <= DECOMPOSITION_TOL * scale + 1e-300
 
 
 def _split_from_modulus(space: MeasureSpace, fv: np.ndarray, u: np.ndarray) -> Decomposition:
@@ -501,18 +503,18 @@ class KProfile:
     values: np.ndarray
     a0_norms: np.ndarray
     a1_norms: np.ndarray
-    gaps: np.ndarray = field(default=None, repr=False)
+    gaps: np.ndarray = field(repr=False)
 
 
-def _validate_profile(prof: KProfile, tol: float = PROFILE_TOL):
+def _validate_profile(prof: KProfile):
     ts, vs = prof.t_grid, prof.values
     scale = np.maximum(np.max(vs, axis=-1, keepdims=True, initial=0.0), 1e-300)
-    slack = tol * scale + 1e-15
+    slack = PROFILE_TOL * scale + 1e-15
     if np.any(np.diff(vs) < -slack):
         raise InternalConsistencyError(f"{prof.kind} profile is not nondecreasing")
     if prof.kind == "K":
         ratio = vs / ts
-        if np.any(np.diff(ratio) > tol * np.abs(ratio[..., :-1]) + 1e-15):
+        if np.any(np.diff(ratio) > PROFILE_TOL * np.abs(ratio[..., :-1]) + 1e-15):
             raise InternalConsistencyError("K(t)/t fails to be nonincreasing")
         if ts.size >= 3:
             t1, t2, t3 = ts[:-2], ts[1:-1], ts[2:]
@@ -603,12 +605,12 @@ class SandwichReport:
     violations: tuple
 
 
-def check_k_d_sandwich(couple: Couple, f, t_grid=None, rel_tol: float = SANDWICH_TOL):
+def check_k_d_sandwich(couple: Couple, f, t_grid=None):
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
     kprof = profile("K", couple, f, ts, validate=False)
     dprof = profile("D", couple, f, ts, validate=False)
     kv, dv = kprof.values, dprof.values
-    slack = rel_tol * np.maximum(kv, 1e-300) + kprof.gaps
+    slack = SANDWICH_TOL * np.maximum(kv, 1e-300) + kprof.gaps
     violations = []
     for i, t in enumerate(ts):
         if dv[i] < kv[i] - slack[i]:
@@ -649,7 +651,7 @@ class PowerSandwichReport:
     corollary_ok: bool = True
 
 
-def _power_sandwich(kind, couple, f, p, t_grid, tol):
+def _power_sandwich(kind, couple, f, p, t_grid):
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError("convexification exponent must lie in (1, inf)")
@@ -670,7 +672,7 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol):
     bound = 2.0 ** (1.0 - 1.0 / p)
 
     scale = np.maximum(lower, 1e-300)
-    hard = tol * scale
+    hard = SANDWICH_TOL * scale
     soft = hard + base_gap + conv_gap
     violations = []
     flags = []
@@ -701,18 +703,14 @@ def _power_sandwich(kind, couple, f, p, t_grid, tol):
 
 
 def check_d_power_sandwich(
-    couple: Couple, f, p: float, t_grid=None, rel_tol: float = SANDWICH_TOL
+    couple: Couple, f, p: float, t_grid=None
 ) -> PowerSandwichReport:
     """D(t, |f|^p)^(1/p) <= D(t^(1/p), f; convexified) <= 2^(1-1/p) times it."""
-    return _power_sandwich("D", couple, f, p, t_grid, rel_tol)
+    return _power_sandwich("D", couple, f, p, t_grid)
 
 
 def check_k_power_sandwich(
-    couple: Couple,
-    f,
-    p: float,
-    t_grid=None,
-    rel_tol: float = SANDWICH_TOL,
+    couple: Couple, f, p: float, t_grid=None
 ) -> PowerSandwichReport:
     """Same two-sided comparison for K, with the certified gaps of both K
     solves added to the tolerance.
@@ -721,11 +719,11 @@ def check_k_power_sandwich(
     <= 2^(2p) K(t, |f|^p), which follows from the main chain and must hold
     with room to spare.
     """
-    report = _power_sandwich("K", couple, f, p, t_grid, rel_tol)
+    report = _power_sandwich("K", couple, f, p, t_grid)
     k_base = report.lower ** p
     k_conv_p = report.middle ** p
     scale = np.maximum(k_base, 1e-300)
-    slack = rel_tol * scale
+    slack = SANDWICH_TOL * scale
     corollary_ok = bool(
         np.all(k_base <= 2.0 ** p * k_conv_p + slack)
         and np.all(2.0 ** p * k_conv_p <= 2.0 ** (2.0 * p) * k_base + 2.0 ** p * slack)
@@ -738,21 +736,19 @@ def check_k_power_sandwich(
 # ---------------------------------------------------------------------------
 
 
-def k_order_breaks(prof: KProfile, slack: float = ORDER_GRID_SLACK):
+def k_order_breaks(prof: KProfile):
     """Where a K profile of the stack [f, g] breaks K(t, g) <= K(t, f).
 
-    The comparison allows slack K(t, f) plus both certified gaps, and a NaN
-    value breaks it.  Returns the mask of broken grid points and the
-    tolerance.
+    The comparison allows ORDER_GRID_SLACK K(t, f) plus both certified
+    gaps, and a NaN value breaks it.  Returns the mask of broken grid points
+    and the tolerance.
     """
     (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
-    tol = slack * np.maximum(kf, 1e-300) + gap_f + gap_g
+    tol = ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
     return ~(kg <= kf + tol), tol
 
 
-def k_order_dominates(
-    couple: Couple, f, g, t_grid=None, slack: float = ORDER_GRID_SLACK
-) -> bool:
+def k_order_dominates(couple: Couple, f, g, t_grid=None) -> bool:
     """True when K(t, g) <= K(t, f) across the grid.
 
     On the (l1, linf) couple the comparison is also decided exactly through
@@ -765,7 +761,7 @@ def k_order_dominates(
     fv = values_of(f, couple.space.n)
     gv = values_of(g, couple.space.n)
     broken, _ = k_order_breaks(
-        profile("K", couple, np.stack([fv, gv]), ts, validate=False), slack
+        profile("K", couple, np.stack([fv, gv]), ts, validate=False)
     )
     grid_ok = not broken.any()
     if is_l1_linf(couple):

@@ -31,6 +31,9 @@ MAX_OPERATOR_SIZE = 256
 # residual ||S fstar - h|| and ||T f - g|| relative to the target scale
 RESIDUAL_TOL = 1e-10
 
+# relative slack of a prefix-sum or rearrangement-integral comparison
+SUBMAJORIZATION_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RearrangementResult:
@@ -53,24 +56,24 @@ def decreasing_rearrangement(f) -> RearrangementResult:
     return RearrangementResult(sorted=out, permutation=order)
 
 
-def weak_submajorizes(f, g, rel_tol: float = 1e-12) -> bool:
+def weak_submajorizes(f, g) -> bool:
     """True iff every prefix sum of g* is at most the matching one of f*.
 
     Uniform-weight semantics: prefixes count atoms, not weights.  The
-    comparison allows relative slack ``rel_tol`` against the running f*
-    prefix to absorb floating point noise.
+    comparison allows relative slack ``SUBMAJORIZATION_TOL`` against the
+    running f* prefix to absorb floating point noise.
     """
-    return _first_failing_prefix(f, g, rel_tol) is None
+    return _first_failing_prefix(f, g) is None
 
 
-def _first_failing_prefix(f, g, rel_tol: float = 1e-12):
+def _first_failing_prefix(f, g):
     fs = decreasing_rearrangement(f).sorted
     gs = decreasing_rearrangement(g).sorted
     if fs.size != gs.size:
         raise DimensionMismatch("vectors must have the same length")
     pf = np.cumsum(fs)
     pg = np.cumsum(gs)
-    bad = pg > pf * (1.0 + rel_tol) + 1e-300
+    bad = pg > pf * (1.0 + SUBMAJORIZATION_TOL) + 1e-300
     if not np.any(bad):
         return None
     return int(np.argmax(bad)) + 1  # prefix length, 1-based
@@ -99,7 +102,7 @@ def rearrangement_integral(weights: np.ndarray, moduli: np.ndarray, ts: np.ndarr
     return values, levels, a0_norms
 
 
-def weighted_weak_submajorizes(space: MeasureSpace, f, g, rel_tol: float = 1e-12) -> bool:
+def weighted_weak_submajorizes(space: MeasureSpace, f, g) -> bool:
     """Exact weighted analogue of weak submajorization.
 
     Compares the running integrals of the weighted decreasing rearrangements
@@ -112,7 +115,7 @@ def weighted_weak_submajorizes(space: MeasureSpace, f, g, rel_tol: float = 1e-12
     breakpoints = np.cumsum(space.weights[order_g])
     int_f, _, _ = rearrangement_integral(space.weights, fv, breakpoints)
     int_g, _, _ = rearrangement_integral(space.weights, gv, breakpoints)
-    return bool(np.all(int_g <= int_f * (1.0 + rel_tol) + 1e-300))
+    return bool(np.all(int_g <= int_f * (1.0 + SUBMAJORIZATION_TOL) + 1e-300))
 
 
 # ---------------------------------------------------------------------------

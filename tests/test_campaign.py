@@ -77,6 +77,8 @@ def test_parse_config_rejects_unknown_keys_and_suites():
         parse_config("wat = 1")
     with pytest.raises(DomainError):
         parse_config("suites = sandwich, quux")
+    with pytest.raises(DomainError, match="unknown suite: 'lift-greedy'.*lift-holder"):
+        parse_config("suites = lift-greedy")
     with pytest.raises(DomainError):
         parse_config("p_set = 1.0")
     # no enumeration cap on D-based suites any more: this now parses
@@ -125,10 +127,10 @@ def test_lift_suites_run_and_pass(tmp_path):
         n_min=2,
         n_max=5,
         p_set=(2.0,),
-        suites=("lift-holder", "lift-greedy"),
+        suites=("lift-holder",),
     )
     report = run_campaign(cfg)
-    assert len(report.rows) == 4
+    assert len(report.rows) == 2
     assert report.passed, [r for r in report.rows if r.violations or r.error]
     for row in report.rows:
         assert row.residual is not None and row.residual <= 1e-8

@@ -77,33 +77,21 @@ def test_construct_operator_command(tmp_path):
     assert payload["cert"]["residual"] <= 1e-10 * (1 + np.max(np.abs(inst.g)))
 
 
-def test_lift_command_both_methods(tmp_path, ordered_instance):
+def test_lift_command_takes_no_method_or_alpha(tmp_path, ordered_instance):
     _, path = ordered_instance
-    for method in ("holder", "greedy"):
-        out = tmp_path / f"lift_{method}.json"
-        code = main(
-            [
-                "lift",
-                "--instance",
-                path,
-                "--method",
-                method,
-                "--alpha",
-                "auto",
-                "--audit-samples",
-                "500",
-                "--seed",
-                "3",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        payload = json.load(open(out))
-        assert payload["method"] == method
-        assert payload["alpha"] == pytest.approx(2.0)
-        assert payload["certificates"]["domination_violations"] == 0
-        assert payload["certificates"]["residual_lf_g"] <= 1e-8
+    out = tmp_path / "lift.json"
+    argv = ["lift", "--instance", path, "--audit-samples", "500", "--seed", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.load(open(out))
+    assert payload["method"] == "holder"
+    assert payload["alpha"] == 2.0
+    assert payload["certificates"]["domination_violations"] == 0
+    assert payload["certificates"]["residual_lf_g"] <= 1e-8
+    for removed in (["--method", "greedy"], ["--alpha", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + removed)
+        assert info.value.code == 2
 
 
 def test_campaign_command_exit_status(tmp_path):

@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from caldera import (
     Couple,
+    DimensionMismatch,
     DomainError,
     INF,
     MeasureSpace,
@@ -163,6 +164,47 @@ def test_check_sublinear_samples():
         report = check_sublinear(H, sample_count=500, seed=17)
         assert report.ok
         assert report.checked == 500
+
+
+def test_check_sublinear_memory_does_not_grow_with_the_sample_count():
+    n = 256
+    rng = np.random.default_rng(3)
+    op = MatrixOperator(space=_uniform(n), entries=rng.random((n, n)), positive=True)
+    H = SublinearMajorant(operator=op, alpha=2.0, p=2.0)
+    tracemalloc.start()
+    try:
+        report = check_sublinear(H, sample_count=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 10_000
+    # one (10000, 256) float64 array alone is 20.5 MB
+    assert peak < 8e6
+
+
+def test_check_sublinear_reports_non_finite_rows_by_their_draw_index(monkeypatch):
+    n, samples, seed = 2, 30, 5
+    H = _identity_majorant(n, alpha=2.0, p=2.0)
+    monkeypatch.setattr(extend, "AUDIT_BLOCK", 4 * (2 * n + 1))  # 4 samples a block
+    draw = _one_shot_draw(samples, 2 * n + 1, seed)
+    h1, h2, c = draw[:, :n], draw[:, n:-1], draw[:, -1:]
+    # rows 6 and 29 get four infinite H values, which the subtractions turn
+    # into NaN; row 17 only an infinite H(h2), which makes H(h1 + h2) look
+    # subadditive
+    marked = {r.tobytes() for k in (6, 29) for r in (h1[k], c[k] * h1[k], h2[k])}
+    marked |= {(h1[k] + h2[k]).tobytes() for k in (6, 29)} | {h2[17].tobytes()}
+    exact = SublinearMajorant.values
+
+    def inf_on_marked_rows(self, h):
+        out = exact(self, h)
+        out[np.array([r.tobytes() in marked for r in h], dtype=bool)] = math.inf
+        return out
+
+    monkeypatch.setattr(SublinearMajorant, "values", inf_on_marked_rows)
+    with np.errstate(invalid="ignore"):
+        report = check_sublinear(H, sample_count=samples, seed=seed)
+    assert report.violations == (6, 17, 29)
+    assert not report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +592,20 @@ def test_unordered_pair_reports_t_both_k_values_and_tolerance():
     assert 0.0 < tol < kg - kf
 
 
-def test_lift_custom_alpha_reverifies_preconditions():
-    couple = base_couple(2)
-    # alpha far below the default breaks the exact submajorization step
-    with pytest.raises(DomainError):
-        lift_operator(couple, [2.0, 0.0], [1.0, 1.0], 2.0, alpha=0.4)
-    result = lift_operator(couple, [2.0, 0.0], [1.0, 1.0], 2.0, alpha=1.0)
-    assert result.alpha == 1.0
-    assert result.residual_lf_g <= 1e-8
+def test_verify_lift_checks_vector_lengths_and_the_couple():
+    couple = base_couple(4)
+    f, g = np.array([4.0, 2.0, 1.0, 0.5]), np.array([2.0, 1.0, 0.5, 0.25])
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=10)
+    conv = convexify_couple(couple, 2.0)
+    assert verify_lift(lift, lift.majorant, f, g, conv, samples=10).ok
+    for pair in ((f[:3], g), (f, np.append(g, 1.0))):
+        with pytest.raises(DimensionMismatch):
+            verify_lift(lift, lift.majorant, *pair, conv)
+    with pytest.raises(DimensionMismatch, match="5 atoms"):
+        verify_lift(lift, lift.majorant, f, g, convexify_couple(base_couple(5), 2.0))
+    for other in (couple, convexify_couple(couple, 3.0)):
+        with pytest.raises(DomainError, match="exponents"):
+            verify_lift(lift, lift.majorant, f, g, other)
 
 
 def test_verify_lift_is_deterministic():
@@ -658,6 +706,8 @@ def test_audit_sample_counts_are_checked_up_front():
     for count in (0, -1):
         with pytest.raises(DomainError, match="audit sample"):
             verify_lift(result, result.majorant, f, g, conv, samples=count)
+        with pytest.raises(DomainError, match="audit sample"):
+            check_sublinear(result.majorant, sample_count=count)
 
 
 # ---------------------------------------------------------------------------
