@@ -10,7 +10,9 @@ extension is the functional that saturates Holder's inequality at f
 batched dual-seminorm evaluation: L = diag(target/denom) . alpha T .
 diag(|f|^(p-1) sgn f) with denom = alpha T |f|^p.  Then Lf = g and
 |Lh| <= H(h), which pins the operator norm on both convexified spaces at
-2^(1-1/p) when alpha = 2^(p-1).
+2^(1-1/p) when alpha = 2^(p-1).  The precondition K(t, g) <= K(t, f) on
+the convexified couple is decided by the exact p-majorization test first;
+the K grid runs only when that test fails.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalFailure
-from .kfunc import default_t_grid, k_order_breaks, profile
+from .kfunc import default_t_grid, k_order_breaks, p_majorization_orders, profile
 from .lattice import (
     INF,
     Couple,
@@ -46,7 +48,11 @@ AUDIT_BLOCK = 32768
 
 
 def default_alpha(p: float) -> float:
-    return 2.0 ** (p - 1.0)
+    """alpha = 2^(p-1); a DomainError where it overflows, p above about 1025."""
+    try:
+        return 2.0 ** (p - 1.0)
+    except OverflowError:
+        raise DomainError(f"alpha = 2^(p-1) overflows at p = {p:g}") from None
 
 
 def norm_bound(p: float) -> float:
@@ -259,6 +265,9 @@ class VerifyReport:
 
 
 def _require_k_ordering(conv: Couple, f: np.ndarray, g: np.ndarray) -> None:
+    """The exact p-majorization test decides first; the grid is the fallback."""
+    if p_majorization_orders(conv, f, g):
+        return
     ts = default_t_grid()
     prof = profile("K", conv, np.stack([f, g]), ts)
     broken, tol = k_order_breaks(prof)
@@ -273,8 +282,9 @@ def _require_k_ordering(conv: Couple, f: np.ndarray, g: np.ndarray) -> None:
 
 
 def _audit_samples(samples: int, n: int, seed: int):
-    """The audit's (samples, n) draw h = choice([-1, 1]) * 10^uniform(-2, 2)
-    from Generator(Philox(key=seed)), yielded in blocks of AUDIT_BLOCK entries.
+    """The audit's (samples, n) draw h = sign * 10^uniform(-2, 2) from
+    Generator(Philox(key=seed)), yielded in blocks of AUDIT_BLOCK entries.
+    The sign 2 integers(0, 2) - 1 is the draw choice([-1, 1]) makes.
 
     A sign takes one 32-bit word, so the exponents start ceil(samples n / 2)
     64-bit words into the same stream, four words per Philox counter step.
@@ -288,7 +298,7 @@ def _audit_samples(samples: int, n: int, seed: int):
     rows = max(1, AUDIT_BLOCK // n)
     for start in range(0, samples, rows):
         shape = (min(rows, samples - start), n)
-        sign = signs.choice([-1.0, 1.0], size=shape)
+        sign = 2.0 * signs.integers(0, 2, size=shape) - 1.0
         yield sign * 10.0 ** exponents.uniform(-2.0, 2.0, size=shape)
 
 
@@ -343,9 +353,10 @@ def lift_operator(
 
     The base couple must be the unweighted (l1, sup) pair; the ordering
     precondition is checked on its p-convexification before any construction
-    happens, then T(alpha*|f|^p) = |g|^p with alpha = 2^(p-1) is solved for
-    a positive substochastic T and L is built and certified by
-    ``holder_rows``.
+    happens: the exact p-majorization test decides first and the K grid
+    (``k_order_breaks``) is the fallback.  Then T(alpha*|f|^p) = |g|^p with
+    alpha = 2^(p-1) is solved for a positive substochastic T and L is built
+    and certified by ``holder_rows``.
     """
     if not is_l1_linf(couple) or not couple.space.is_uniform():
         raise DomainError("lifting requires the unweighted (l1, sup) base couple")

@@ -23,8 +23,11 @@ multiplier solve one loop over the t-grid of each row.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  The K-ordering
-rule is defined once, in ``k_order_breaks``, on one profile of the stack
-[f, g]; ``k_order_dominates`` and the lift's precondition both apply it.
+decision is made once, in two steps that ``k_order_dominates`` and the
+lift's precondition both take: the exact test ``p_majorization_orders``
+(|g|^p weakly submajorized by |f|^p on a uniform (l_p, sup) couple orders
+the pair at every t) decides first, and the grid rule ``k_order_breaks``,
+on one profile of the stack [f, g], is the fallback.
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ from .lattice import (
     vector,
     weighted_p_norm,
 )
-from .majorize import rearrangement_integral, weighted_weak_submajorizes
+from .majorize import (
+    rearrangement_integral,
+    weak_submajorizes,
+    weighted_weak_submajorizes,
+)
 
 # relative accuracy contract of the numerical K solver
 SOLVER_REL_GAP = 1e-6
@@ -748,18 +755,47 @@ def k_order_breaks(prof: KProfile):
     return ~(kg <= kf + tol), tol
 
 
+def p_majorization_orders(couple: Couple, f, g) -> bool:
+    """Exact sufficient test for K(t, g) <= K(t, f) at every t > 0.
+
+    It applies to uniform couples with effective exponents (p, inf), p > 1,
+    and holds when |g|^p is weakly submajorized by |f|^p.  Then a positive
+    doubly substochastic T has T|f|^p = |g|^p (Marshall-Olkin), and the
+    alpha = 1 Holder lift on T is a contraction on both l_p and sup that maps
+    f to g (Lorentz-Shimogaki 1971).  Prefix sums in excess by at most
+    SUBMAJORIZATION_TOL move K by about that over p, far inside
+    ORDER_GRID_SLACK, so an accepted pair also passes ``k_order_breaks``.
+    Both moduli are divided by their common maximum before the power, which
+    cannot overflow; a non-finite power (both vectors zero) returns False.
+    """
+    p, p1 = _exponents(couple)
+    if not (p1 == INF and 1.0 < p < INF and couple.space.is_uniform()):
+        return False
+    a = np.abs(values_of(f, couple.space.n))
+    b = np.abs(values_of(g, couple.space.n))
+    top = max(a.max(), b.max())
+    with np.errstate(invalid="ignore"):
+        fp, gp = (a / top) ** p, (b / top) ** p
+    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(gp))):
+        return False
+    return weak_submajorizes(fp, gp)
+
+
 def k_order_dominates(couple: Couple, f, g, t_grid=None) -> bool:
     """True when K(t, g) <= K(t, f) across the grid.
 
-    On the (l1, linf) couple the comparison is also decided exactly through
-    the weighted rearrangement integrals; if the exact decision says the
-    domination holds everywhere while the grid sees a violation beyond its
-    slack, the two routes contradict each other and that is an internal
-    error, not a property of the input.
+    A pair that ``p_majorization_orders`` accepts is ordered at every t and
+    skips the grid.  On the (l1, linf) couple the comparison is also decided
+    exactly through the weighted rearrangement integrals; if the exact
+    decision says the domination holds everywhere while the grid sees a
+    violation beyond its slack, the two routes contradict each other and
+    that is an internal error, not a property of the input.
     """
     ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
     fv = values_of(f, couple.space.n)
     gv = values_of(g, couple.space.n)
+    if p_majorization_orders(couple, fv, gv):
+        return True
     broken, _ = k_order_breaks(
         profile("K", couple, np.stack([fv, gv]), ts, validate=False)
     )

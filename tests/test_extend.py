@@ -35,7 +35,14 @@ from caldera.extend import (
     lift_violations,
     verify_lift,
 )
-from caldera.kfunc import check_k_d_sandwich, d_exact, default_t_grid, profile
+from caldera.kfunc import (
+    check_k_d_sandwich,
+    d_exact,
+    default_t_grid,
+    k_order_dominates,
+    p_majorization_orders,
+    profile,
+)
 from caldera.lattice import convexify_couple, dual_p_norm, norm, norm_values, vector
 from caldera.majorize import (
     MAX_OPERATOR_SIZE,
@@ -590,6 +597,31 @@ def test_unordered_pair_reports_t_both_k_values_and_tolerance():
     assert kg == pytest.approx(profile("K", conv, [5.0, 5.0], [t]).values[0], rel=1e-6)
     assert kf == pytest.approx(profile("K", conv, [1.0, 1.0], [t]).values[0], rel=1e-6)
     assert 0.0 < tol < kg - kf
+
+
+def test_grid_ordered_pair_that_is_not_p_majorized_lifts_by_the_fallback():
+    couple = base_couple(3)
+    conv = convexify_couple(couple, 2.0)
+    f, g = np.array([1.28, 1.61, 0.48]), np.array([0.12, 1.33, 1.59])
+    assert not p_majorization_orders(conv, f, g)
+    assert k_order_dominates(conv, f, g)
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=500)
+    assert lift_certified(
+        lift.residual_lf_g, lift.domination_violations, lift.norm_sample_ratios, 2.0
+    )
+    # an unordered pair is rejected by both steps, with the grid's message
+    assert not p_majorization_orders(conv, [1.0, 1.0, 1.0], [5.0, 5.0, 5.0])
+    with pytest.raises(DomainError, match=r"at t=.* by more than the tolerance"):
+        lift_operator(couple, [1.0, 1.0, 1.0], [5.0, 5.0, 5.0], 2.0)
+
+
+@pytest.mark.parametrize("p", [1025.0, 1100.0, 5000.0])
+def test_alpha_overflow_at_very_large_p_is_a_domain_error(p):
+    message = re.escape(f"alpha = 2^(p-1) overflows at p = {p:g}")
+    with pytest.raises(DomainError, match=message):
+        default_alpha(p)
+    with pytest.raises(DomainError, match="overflows"):
+        lift_operator(base_couple(2), [2.0, 0.0], [1.0, 1.0], p)
 
 
 def test_verify_lift_checks_vector_lengths_and_the_couple():

@@ -1058,3 +1058,56 @@ def test_k_order_convexified_couple_grid_route():
     f = np.abs(_rand_f(rng, 6))
     g = 0.5 * (_substochastic(rng, 6) @ f)
     assert k_order_dominates(couple, f, g)
+
+
+def test_p_majorization_accepts_only_grid_ordered_pairs():
+    # ties, zeros, n = 1, p near 1 and large, and moduli over 1e-150..1e150,
+    # whose scaled powers underflow; each accepted pair must pass the grid
+    rng = np.random.default_rng(131)
+    ts = default_t_grid()
+    accepted = rejected = 0
+    for i in range(600):
+        n = int(rng.integers(1, 10))
+        p = float(rng.choice([1.001, 1.5, 2.0, 3.0, 40.0, 120.0]))
+        lo, hi = np.sort(rng.uniform(-150.0, 150.0, size=2))
+        f = 10.0 ** rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
+        if n > 1 and rng.random() < 0.3:
+            f[rng.integers(0, n)] = 0.0
+        if n > 1 and rng.random() < 0.3:
+            f[rng.integers(0, n)] = f[0]
+        g = (
+            rng.permutation(f),
+            _substochastic(rng, n) @ f,
+            f * rng.uniform(0.9, 1.1, size=n),
+            10.0 ** rng.uniform(lo, hi, size=n),
+        )[i % 4]
+        couple = convexify_couple(l1_linf_couple(_uniform(n)), p)
+        if not kfunc.p_majorization_orders(couple, f, g):
+            rejected += 1
+            continue
+        accepted += 1
+        broken, _ = kfunc.k_order_breaks(profile("K", couple, np.stack([f, g]), ts))
+        assert not broken.any(), (i, n, p)
+    assert accepted > 300 and rejected > 100
+
+
+def test_p_majorization_applies_to_uniform_lp_sup_couples_only():
+    f, g = np.array([3.0, 1.0]), np.array([2.0, 1.0])
+    base = l1_linf_couple(_uniform(2))
+    assert kfunc.p_majorization_orders(convexify_couple(base, 2.0), f, g)
+    assert kfunc.p_majorization_orders(
+        Couple(space=MeasureSpace([4.0, 4.0]), norm0=WeightedP(3.0), norm1=WeightedP(INF)),
+        f,
+        g,
+    )
+    for couple in (
+        base,
+        convexify_couple(l1_linf_couple(MeasureSpace([1.0, 2.0])), 2.0),
+        Couple(space=_uniform(2), norm0=WeightedP(2.0), norm1=WeightedP(3.0)),
+        Couple(space=_uniform(2), norm0=WeightedP(INF), norm1=WeightedP(2.0)),
+    ):
+        assert not kfunc.p_majorization_orders(couple, f, g)
+    # both vectors zero: the scaled powers are NaN, so the grid decides
+    conv = convexify_couple(base, 2.0)
+    assert not kfunc.p_majorization_orders(conv, np.zeros(2), np.zeros(2))
+    assert k_order_dominates(conv, np.zeros(2), np.zeros(2))

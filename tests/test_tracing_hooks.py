@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import caldera.campaign
 import caldera.cli
 import caldera.extend
@@ -54,18 +56,27 @@ def test_tracer_patches_and_restores_every_hooked_global(monkeypatch):
 
 
 def test_traced_lift_and_instance_keep_the_k_work_under_kfunc_profile(monkeypatch):
+    # generated pairs are p-majorized, so the exact ordering test decides
+    # them and neither generation nor the lift computes a K profile; a pair
+    # that is grid-ordered but not p-majorized takes the grid fallback
+    f, g = np.array([1.28, 1.61, 0.48]), np.array([0.12, 1.33, 1.59])
     tracer = _load_tracing(monkeypatch).Tracer()
     tracer.install()
     try:
         tracer.phase = "timed"
-        inst = caldera.instances.generate_instance(3, 5, p=2.0, k_ordered=True)
-        generated = dict(tracer.layer_totals("timed"))
-        tracer.spans.clear()
-        caldera.extend.lift_operator(inst.couple, inst.f, inst.g, 2.0, audit_samples=50)
-        lifted = tracer.layer_totals("timed")
+        inst = caldera.instances.generate_instance(3, 3, p=2.0, k_ordered=True)
+        totals = [dict(tracer.layer_totals("timed"))]
+        for pair in ((inst.f, inst.g), (f, g)):
+            tracer.spans.clear()
+            caldera.extend.lift_operator(inst.couple, *pair, 2.0, audit_samples=50)
+            totals.append(dict(tracer.layer_totals("timed")))
     finally:
         tracer.uninstall()
-    assert generated["kfunc.profile.calls"] >= 1
-    assert lifted["kfunc.profile.calls"] >= 1
-    assert lifted["extend.lift.calls"] == 1
-    assert lifted["majorize.construct.calls"] == 1
+    generated, majorized, fallback = totals
+    assert generated["instances.generate.calls"] == 1
+    assert generated.get("kfunc.profile.calls", 0) == 0
+    assert majorized.get("kfunc.profile.calls", 0) == 0
+    assert fallback["kfunc.profile.calls"] == 1
+    for lifted in (majorized, fallback):
+        assert lifted["extend.lift.calls"] == 1
+        assert lifted["majorize.construct.calls"] == 1
