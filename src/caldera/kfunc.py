@@ -54,7 +54,7 @@ from .lattice import (
 )
 from .majorize import (
     rearrangement_integral,
-    weak_submajorizes,
+    sorted_prefix_failure,
     weighted_weak_submajorizes,
 )
 
@@ -778,7 +778,7 @@ def p_majorization_orders(couple: Couple, f, g) -> bool:
         fp, gp = (a / top) ** p, (b / top) ** p
     if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(gp))):
         return False
-    return weak_submajorizes(fp, gp)
+    return sorted_prefix_failure(np.sort(fp)[::-1], np.sort(gp)[::-1]) is None
 
 
 def k_order_dominates(couple: Couple, f, g, t_grid=None) -> bool:

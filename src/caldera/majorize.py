@@ -7,13 +7,15 @@ most one and T f = g.  The route is classical: fill g* up to the total mass
 of f* without breaking the prefix bounds, connect f* to the filled vector by
 a chain of at most n-1 pinch matrices (each a convex combination of the
 identity and a transposition), scale rows back down, and undo the sorting
-permutations.  A pinch mixes only two rows, so the chain's product is built
-by updating those rows in place, O(n) per factor and O(n^2) in all, and the
+permutations.  Each input is sorted once and every prefix comparison is a
+cumulative sum on the sorted arrays.  The chain is a scalar walk that
+updates two rows of its product in place per pinch, O(n^2) in all, and the
 sorting permutations are undone by one scatter.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +73,16 @@ def _first_failing_prefix(f, g):
     gs = decreasing_rearrangement(g).sorted
     if fs.size != gs.size:
         raise DimensionMismatch("vectors must have the same length")
-    pf = np.cumsum(fs)
-    pg = np.cumsum(gs)
-    bad = pg > pf * (1.0 + SUBMAJORIZATION_TOL) + 1e-300
+    return sorted_prefix_failure(fs, gs)
+
+
+def sorted_prefix_failure(fs: np.ndarray, gs: np.ndarray):
+    """First 1-based prefix length where the sum of gs exceeds that of fs,
+    or None; both arrays already sorted nonincreasingly."""
+    bad = np.cumsum(gs) > np.cumsum(fs) * (1.0 + SUBMAJORIZATION_TOL) + 1e-300
     if not np.any(bad):
         return None
-    return int(np.argmax(bad)) + 1  # prefix length, 1-based
+    return int(np.argmax(bad)) + 1
 
 
 def rearrangement_integral(weights: np.ndarray, moduli: np.ndarray, ts: np.ndarray):
@@ -148,6 +154,10 @@ def fill_to_exact_majorization(fstar, gstar) -> np.ndarray:
     bad = _first_failing_prefix(fs, gs)
     if bad is not None:
         raise DomainError(f"gstar is not weakly submajorized by fstar (prefix {bad})")
+    return _water_fill(fs, gs)
+
+
+def _water_fill(fs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     total_f = float(np.sum(fs))
     total_g = float(np.sum(gs))
     deficit = total_f - total_g
@@ -167,8 +177,7 @@ def fill_to_exact_majorization(fstar, gstar) -> np.ndarray:
         # a deficit; the level lands in (asc[idx-1], asc[idx]] where exactly
         # idx entries sit at or below it
         c = (total_f - (total_g - pa[idx - 1])) / idx
-    h = np.maximum(gs, c)
-    return h
+    return np.maximum(gs, c)
 
 
 @dataclass(frozen=True)
@@ -201,61 +210,90 @@ def t_transform_chain(fstar, h) -> TransformChain:
     Requires both inputs nonincreasing and h majorized by fstar with equal
     sums.  Each pinch moves mass between the outermost pair of indices where
     the running vector still exceeds / falls short of the target and zeroes
-    at least one mismatch, so the chain terminates within n-1 factors.  A
-    pinch on (j, k) replaces rows j and k of the running product by their
-    two convex combinations, so S costs O(n) per factor.
+    at least one mismatch, so the chain terminates within n-1 factors.  The
+    walk runs on Python floats: a pinch on (j, k) changes the mismatch only
+    at j and k, so only those two are re-filed in the sorted lists of
+    indices above and below target, and only rows j and k of the product
+    are replaced, in place, by their two convex combinations.
     """
-    x = values_of(fstar).copy()
+    x = values_of(fstar)
     y = values_of(h)
     if x.size != y.size:
         raise DimensionMismatch("fstar and h must have the same length")
     _require_nonincreasing_nonneg(x, "fstar")
     _require_nonincreasing_nonneg(y, "h")
-    scale = max(float(x[0]) if x.size else 0.0, 1e-300)
+    _require_equal_mass(x, y)
+    if _first_failing_prefix(x, y) is not None:
+        raise DomainError("h must be majorized by fstar")
+    s, steps = _pinch_chain(x, y)
+    s.setflags(write=False)
+    return TransformChain(
+        matrix=s, factors=tuple(PinchFactor(j=j, k=k, lam=lam) for j, k, lam in steps)
+    )
+
+
+def _require_equal_mass(x: np.ndarray, y: np.ndarray):
     sum_gap = abs(float(np.sum(x) - np.sum(y)))
     if sum_gap > 1e-10 * max(np.sum(np.abs(x)), 1.0):
         raise DomainError("h must have the same total mass as fstar")
-    if _first_failing_prefix(x, y) is not None:
-        raise DomainError("h must be majorized by fstar")
 
+
+def _pinch_chain(x: np.ndarray, y: np.ndarray):
+    """The pinch walk from x to y and its certified product S.
+
+    Returns S and the factors as (j, k, lam) triples; raises
+    ``NumericalFailure`` when ||S x - y|| exceeds ``RESIDUAL_TOL`` of the
+    target scale.
+    """
     n = x.size
+    xs = x.tolist()
+    ys = y.tolist()
+    tol = 1e-13 * max(xs[0] if n else 0.0, 1e-300)
+    over = [i for i in range(n) if xs[i] - ys[i] > tol]
+    under = [i for i in range(n) if xs[i] - ys[i] < -tol]
     s = np.eye(n)
-    factors: list[PinchFactor] = []
-    tol = 1e-13 * scale
+    steps = []
     for _ in range(max(n - 1, 0)):
-        diff = x - y
-        if np.max(np.abs(diff)) <= tol:
+        if not over:
             break
-        over = np.nonzero(diff > tol)[0]
-        if over.size == 0:
+        j = over[-1]  # largest index still above target
+        at = bisect.bisect_right(under, j)
+        if at == len(under):
             break
-        j = int(over[-1])  # largest index still above target
-        under = np.nonzero(diff[j + 1 :] < -tol)[0]
-        if under.size == 0:
-            break
-        k = j + 1 + int(under[0])  # first shortfall beyond j
-        delta = min(x[j] - y[j], y[k] - x[k])
-        lam = 1.0 - delta / (x[j] - x[k])
-        factor = PinchFactor(j=j, k=k, lam=float(lam))
-        xj, xk = x[j], x[k]
-        x[j] = lam * xj + (1.0 - lam) * xk
-        x[k] = lam * xk + (1.0 - lam) * xj
-        sj, sk = s[j].copy(), s[k].copy()
-        s[j] = lam * sj + (1.0 - lam) * sk
-        s[k] = lam * sk + (1.0 - lam) * sj
-        factors.append(factor)
+        k = under[at]  # first shortfall beyond j
+        xj, xk = xs[j], xs[k]
+        delta = min(xj - ys[j], ys[k] - xk)
+        lam = 1.0 - delta / (xj - xk)
+        mu = 1.0 - lam
+        xs[j] = lam * xj + mu * xk
+        xs[k] = lam * xk + mu * xj
+        sj, sk = s[j], s[k]
+        new_j = lam * sj
+        new_j += mu * sk
+        sk *= lam
+        sk += mu * sj
+        sj[...] = new_j
+        steps.append((j, k, lam))
+        # only j and k changed: take both out, put back any still mismatched
+        over.pop()
+        del under[at]
+        for i in (j, k):
+            gap = xs[i] - ys[i]
+            if gap > tol:
+                bisect.insort(over, i)
+            elif gap < -tol:
+                bisect.insort(under, i)
 
-    residual = float(np.max(np.abs(s @ values_of(fstar) - y))) if n else 0.0
+    residual = float(np.max(np.abs(s @ x - y))) if n else 0.0
     limit = RESIDUAL_TOL * (1.0 + float(np.max(y, initial=0.0)))
     if residual > limit:
         raise NumericalFailure(
             f"pinch chain residual {residual:.3e} above tolerance {limit:.3e} "
-            f"(n = {n}, {len(factors)} factors)",
+            f"(n = {n}, {len(steps)} factors)",
             best_value=residual,
             gap=residual - limit,
         )
-    s.setflags(write=False)
-    return TransformChain(matrix=s, factors=tuple(factors))
+    return s, steps
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +367,24 @@ def construct_positive_operator(space: MeasureSpace, f, g) -> MatrixOperator:
         raise DomainError("operator construction requires nonnegative vectors")
     if not np.any(fv > 0.0):
         raise DomainError("f must not be the zero vector")
-    bad = _first_failing_prefix(fv, gv)
+    # one stable sort per input; every prefix rule then runs on these arrays
+    # (abs only turns -0.0 into 0.0, so no -0.0 reaches T)
+    fv, gv = np.abs(fv), np.abs(gv)
+    sort_f = np.argsort(-fv, kind="stable")
+    sort_g = np.argsort(-gv, kind="stable")
+    fs, gs = fv[sort_f], gv[sort_g]
+    bad = sorted_prefix_failure(fs, gs)
     if bad is not None:
         raise DomainError(f"g is not weakly submajorized by f (prefix {bad})")
 
-    rf = decreasing_rearrangement(fv)
-    rg = decreasing_rearrangement(gv)
-    h = fill_to_exact_majorization(rf.sorted, rg.sorted)
-    chain = t_transform_chain(rf.sorted, h)
+    h = _water_fill(fs, gs)
+    _require_equal_mass(fs, h)
+    if sorted_prefix_failure(fs, h) is not None:
+        raise DomainError("h must be majorized by fstar")
+    s, _ = _pinch_chain(fs, h)
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = np.where(h > 0.0, rg.sorted / np.where(h > 0.0, h, 1.0), 0.0)
+        d = np.where(h > 0.0, gs / np.where(h > 0.0, h, 1.0), 0.0)
+    s *= d[:, None]
     t = np.empty((n, n))
-    t[np.ix_(rg.permutation, rf.permutation)] = d[:, None] * chain.matrix
+    t[np.ix_(sort_g, sort_f)] = s
     return MatrixOperator(space=space, entries=t, positive=True)

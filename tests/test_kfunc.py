@@ -1051,13 +1051,23 @@ def test_k_order_decisions_match_one_vector_profiles():
     assert decisions == {True, False}
 
 
-def test_k_order_convexified_couple_grid_route():
-    rng = np.random.default_rng(67)
-    sp = _uniform(6)
-    couple = convexify_couple(l1_linf_couple(sp), 2.0)
-    f = np.abs(_rand_f(rng, 6))
-    g = 0.5 * (_substochastic(rng, 6) @ f)
+def test_k_order_convexified_couple_grid_route(monkeypatch):
+    # grid-ordered but |g|^2 is not weakly submajorized by |f|^2, so the
+    # exact test declines and the K grid decides
+    couple = convexify_couple(l1_linf_couple(_uniform(3)), 2.0)
+    f = np.array([1.28, 1.61, 0.48])
+    g = np.array([0.12, 1.33, 1.59])
+    assert not kfunc.p_majorization_orders(couple, f, g)
+    calls = []
+    grid_profile = kfunc.profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return grid_profile(*args, **kwargs)
+
+    monkeypatch.setattr(kfunc, "profile", counted)
     assert k_order_dominates(couple, f, g)
+    assert calls == ["K"]
 
 
 def test_p_majorization_accepts_only_grid_ordered_pairs():

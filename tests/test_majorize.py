@@ -227,6 +227,70 @@ def test_chain_rows_match_the_product_of_pinch_matrices():
         assert np.max(np.abs(chain.matrix - product), initial=0.0) <= 1e-15, n
 
 
+def _oracle_pinch_chain(fstar, h):
+    """The per-factor numpy loop the scalar walk replaced: every factor
+    recomputes the whole mismatch, scans it for the outermost over/under
+    pair and copies both rows."""
+    x = np.array(fstar, dtype=float)
+    y = np.asarray(h, dtype=float)
+    n = x.size
+    scale = max(float(x[0]) if n else 0.0, 1e-300)
+    tol = 1e-13 * scale
+    s = np.eye(n)
+    factors = []
+    for _ in range(max(n - 1, 0)):
+        diff = x - y
+        if np.max(np.abs(diff)) <= tol:
+            break
+        over = np.nonzero(diff > tol)[0]
+        if over.size == 0:
+            break
+        j = int(over[-1])
+        under = np.nonzero(diff[j + 1 :] < -tol)[0]
+        if under.size == 0:
+            break
+        k = j + 1 + int(under[0])
+        delta = min(x[j] - y[j], y[k] - x[k])
+        lam = 1.0 - delta / (x[j] - x[k])
+        xj, xk = x[j], x[k]
+        x[j] = lam * xj + (1.0 - lam) * xk
+        x[k] = lam * xk + (1.0 - lam) * xj
+        sj, sk = s[j].copy(), s[k].copy()
+        s[j] = lam * sj + (1.0 - lam) * sk
+        s[k] = lam * sk + (1.0 - lam) * sj
+        factors.append((j, k, float(lam)))
+    return s, factors
+
+
+def _revisits_an_index(factors):
+    """True when some index is pinched, left alone, then pinched again."""
+    last = {}
+    for step, (j, k, _) in enumerate(factors):
+        for i in (j, k):
+            if step - last.get(i, step - 1) > 1:
+                return True
+            last[i] = step
+    return False
+
+
+def test_scalar_walk_matches_the_per_factor_loop():
+    # ties, zeros, n 1-59 and moduli 1e+-6; a chain that comes back to an
+    # index after skipping a step exercises re-filing it in the index lists
+    rng = np.random.default_rng(307)
+    cases = list(_hard_cases())
+    cases += [_hard_pair(rng, int(rng.integers(1, 60))) for _ in range(3000)]
+    revisits = 0
+    for f, g in cases:
+        fstar = decreasing_rearrangement(f).sorted
+        h = fill_to_exact_majorization(fstar, decreasing_rearrangement(g).sorted)
+        chain = t_transform_chain(fstar, h)
+        s, factors = _oracle_pinch_chain(fstar, h)
+        assert [(fac.j, fac.k, fac.lam) for fac in chain.factors] == factors
+        assert np.array_equal(chain.matrix, s)
+        revisits += _revisits_an_index(factors)
+    assert revisits >= 1
+
+
 def test_operator_scatter_matches_chained_permutation_copies():
     for f, g in _hard_cases():
         n = f.size
