@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,27 +30,7 @@ from .kfunc import (
 from .lattice import INF, MeasureSpace, lub, power_vector, vector
 from .majorize import MatrixOperator
 
-VALID_SUITES = (
-    "sandwich",
-    "claim1",
-    "maligranda",
-    "minkowski",
-    "lift-holder",
-    "lattice-props",
-)
 P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder"})
-CSV_COLUMNS = (
-    "suite",
-    "instance",
-    "seed",
-    "n",
-    "p",
-    "max_ratio",
-    "violations",
-    "residual",
-    "runtime_s",
-    "error",
-)
 
 
 @dataclass(frozen=True)
@@ -71,9 +51,9 @@ class CampaignConfig:
         if not (1 <= self.n_min <= self.n_max):
             raise DomainError("need 1 <= n_min <= n_max")
         for s in self.suites:
-            if s not in VALID_SUITES:
+            if s not in _SUITE_BODIES:
                 raise DomainError(
-                    f"unknown suite: {s!r}; valid suites: {', '.join(VALID_SUITES)}"
+                    f"unknown suite: {s!r}; valid suites: {', '.join(_SUITE_BODIES)}"
                 )
         if len(set(self.suites)) != len(self.suites):
             raise DomainError("duplicate suite names in config")
@@ -85,17 +65,6 @@ class CampaignConfig:
     def grid(self) -> np.ndarray:
         lo, hi, count = self.t_grid
         return default_t_grid(lo, hi, int(count))
-
-
-_CONFIG_KEYS = {
-    "seed",
-    "instance_count",
-    "n_min",
-    "n_max",
-    "p_set",
-    "t_grid",
-    "suites",
-}
 
 
 def parse_config(text: str) -> CampaignConfig:
@@ -110,7 +79,7 @@ def parse_config(text: str) -> CampaignConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CampaignConfig.__dataclass_fields__:
             raise DomainError(f"unknown config key on line {lineno}: {key!r}")
         if key in ("seed", "instance_count", "n_min", "n_max"):
             values[key] = int(val)
@@ -140,6 +109,9 @@ class CampaignRow:
     residual: float | None
     runtime_s: float
     error: str = ""
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(CampaignRow))
 
 
 @dataclass(frozen=True)
@@ -339,18 +311,7 @@ def _fmt(value) -> str:
 
 
 def _row_cells(row: CampaignRow) -> list:
-    return [
-        row.suite,
-        str(row.instance),
-        str(row.seed),
-        str(row.n),
-        _fmt(row.p),
-        _fmt(row.max_ratio),
-        str(row.violations),
-        _fmt(row.residual),
-        _fmt(row.runtime_s),
-        row.error,
-    ]
+    return [_fmt(getattr(row, column)) for column in CSV_COLUMNS]
 
 
 def _summary_cells(report: CampaignReport) -> list:

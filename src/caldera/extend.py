@@ -11,8 +11,8 @@ batched dual-seminorm evaluation: L = diag(target/denom) . alpha T .
 diag(|f|^(p-1) sgn f) with denom = alpha T |f|^p.  Then Lf = g and
 |Lh| <= H(h), which pins the operator norm on both convexified spaces at
 2^(1-1/p) when alpha = 2^(p-1).  The precondition K(t, g) <= K(t, f) on
-the convexified couple is decided by the exact p-majorization test first;
-the K grid runs only when that test fails.
+the convexified couple is decided by ``caldera.kfunc.k_order_failure``: the
+exact p-majorization test first, the K grid only when that test fails.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalFailure
-from .kfunc import default_t_grid, k_order_breaks, p_majorization_orders, profile
+# profile is unused here; it stays because perfbench/tracing.py patches extend.profile
+from .kfunc import k_order_failure, profile
 from .lattice import (
     INF,
     Couple,
@@ -264,23 +265,6 @@ class VerifyReport:
     seed: int
 
 
-def _require_k_ordering(conv: Couple, f: np.ndarray, g: np.ndarray) -> None:
-    """The exact p-majorization test decides first; the grid is the fallback."""
-    if p_majorization_orders(conv, f, g):
-        return
-    ts = default_t_grid()
-    prof = profile("K", conv, np.stack([f, g]), ts)
-    broken, tol = k_order_breaks(prof)
-    if broken.any():
-        i = int(np.argmax(broken))
-        kf, kg = prof.values[:, i]
-        raise DomainError(
-            f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, "
-            f"K(t, g) = {kg:.17g} exceeds K(t, f) = "
-            f"{kf:.17g} by more than the tolerance {tol[i]:.3e}"
-        )
-
-
 def _audit_samples(samples: int, n: int, seed: int):
     """The audit's (samples, n) draw h = sign * 10^uniform(-2, 2) from
     Generator(Philox(key=seed)), yielded in blocks of AUDIT_BLOCK entries.
@@ -352,9 +336,8 @@ def lift_operator(
     """Full pipeline: majorization, majorant, row extensions, certificates.
 
     The base couple must be the unweighted (l1, sup) pair; the ordering
-    precondition is checked on its p-convexification before any construction
-    happens: the exact p-majorization test decides first and the K grid
-    (``k_order_breaks``) is the fallback.  Then T(alpha*|f|^p) = |g|^p with
+    precondition is checked on its p-convexification by ``k_order_failure``
+    before any construction happens.  Then T(alpha*|f|^p) = |g|^p with
     alpha = 2^(p-1) is solved for a positive substochastic T and L is built
     and certified by ``holder_rows``.
     """
@@ -374,7 +357,9 @@ def lift_operator(
         raise DomainError("vectors must match the atom count of the couple")
 
     conv = convexify_couple(couple, p)
-    _require_k_ordering(conv, fv, gv)
+    failure = k_order_failure(conv, fv, gv)
+    if failure:
+        raise DomainError(failure)
 
     with np.errstate(over="ignore"):
         source, target = alpha * np.abs(fv) ** p, np.abs(gv) ** p

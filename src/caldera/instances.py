@@ -11,7 +11,6 @@ which machine or process produced it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np

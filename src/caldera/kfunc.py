@@ -23,11 +23,14 @@ multiplier solve one loop over the t-grid of each row.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  The K-ordering
-decision is made once, in two steps that ``k_order_dominates`` and the
-lift's precondition both take: the exact test ``p_majorization_orders``
-(|g|^p weakly submajorized by |f|^p on a uniform (l_p, sup) couple orders
-the pair at every t) decides first, and the grid rule ``k_order_breaks``,
-on one profile of the stack [f, g], is the fallback.
+decision is made once, by ``k_order_failure``, which ``k_order_dominates``,
+instance generation and the lift's precondition all call: the exact test
+``p_majorization_orders`` (|g|^p weakly submajorized by |f|^p on a uniform
+(l_p, sup) couple orders the pair at every t) decides first, and the grid
+rule ``k_order_breaks``, on one validated profile of the stack [f, g], is
+the fallback.  Both certified K solves end in one gap check,
+``_certified_gaps``: a gap above the solver contract, or a NaN gap, fails
+closed with a ``NumericalFailure`` naming the row and t.
 """
 
 from __future__ import annotations
@@ -102,6 +105,9 @@ def _positive_t(t) -> float:
 
 
 def _as_grid(t_grid) -> np.ndarray:
+    """A validated t-grid; None is the default grid."""
+    if t_grid is None:
+        return default_t_grid()
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("t grid must be a nonempty 1-d array")
@@ -167,6 +173,26 @@ def k_exact_l1_linf(space: MeasureSpace, f, t: float):
 # ---------------------------------------------------------------------------
 # numerical route
 # ---------------------------------------------------------------------------
+
+
+def _certified_gaps(best: np.ndarray, lower: np.ndarray, ts: np.ndarray, stacked: bool):
+    """Certified gaps best - lower of a K solve, flat with t fastest.
+
+    A gap above SOLVER_REL_GAP of its value, NaN included, fails closed with
+    the t it belongs to, and the row when ``stacked``.
+    """
+    gaps = np.maximum(best - lower, 0.0)
+    bad = np.flatnonzero(~(gaps <= SOLVER_REL_GAP * best))
+    if bad.size:
+        j = int(bad[0])
+        row = f" of row {j // ts.size}" if stacked else ""
+        raise NumericalFailure(
+            f"K solve{row} at t = {ts[j % ts.size]:.6g} stopped at {best[j]:.6g} "
+            f"with gap {gaps[j]:.3e}",
+            best_value=float(best[j]),
+            gap=float(gaps[j]),
+        )
+    return gaps
 
 
 def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
@@ -264,17 +290,7 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
     result = np.empty((4, done.shape[1]))
     result[:, done[15].astype(np.intp)] = done[11:15]
     best, levels, a0n, lower = result
-    gaps = np.maximum(best - lower, 0.0)
-    bad = np.flatnonzero(gaps > SOLVER_REL_GAP * best)
-    if bad.size:
-        j = int(bad[0])
-        row = f" of row {j // size}" if a.ndim == 2 else ""
-        raise NumericalFailure(
-            f"K solve{row} at t = {ts[j % size]:.6g} stopped at {best[j]:.6g} "
-            f"with gap {gaps[j]:.3e}",
-            best_value=float(best[j]),
-            gap=float(gaps[j]),
-        )
+    gaps = _certified_gaps(best, lower, ts, a.ndim == 2)
     shape = a.shape[:-1] + ts.shape
     return best.reshape(shape), levels.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
 
@@ -381,16 +397,7 @@ def _k_finite(w: np.ndarray, v: np.ndarray, p0: float, p1: float, ts: np.ndarray
             pull = (h0 * up + h1 * down) / ((p0 - 1.0) * up + (p1 - 1.0) * down)
             step = xk - tx / (1.0 - np.nansum(pull, axis=-1))  # pinned atoms: 0/0
         x[k] = np.where((lo[k] < step) & (step < hi[k]), step, 0.5 * (lo[k] + hi[k]))
-    gaps = np.maximum(best - lower, 0.0)
-    bad = np.flatnonzero(~(gaps <= SOLVER_REL_GAP * best))
-    if bad.size:
-        j = int(bad[0])
-        raise NumericalFailure(
-            f"K solve at t = {ts[j]:.6g} stopped at {best[j]:.6g} "
-            f"with gap {gaps[j]:.3e}",
-            best_value=float(best[j]),
-            gap=float(gaps[j]),
-        )
+    gaps = _certified_gaps(best, lower, ts, False)
     u[:, keep] = v * np.exp(-np.logaddexp(0.0, -y_best))
     return best, a0n, a1n, gaps, u
 
@@ -613,7 +620,7 @@ class SandwichReport:
 
 
 def check_k_d_sandwich(couple: Couple, f, t_grid=None):
-    ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
+    ts = _as_grid(t_grid)
     kprof = profile("K", couple, f, ts, validate=False)
     dprof = profile("D", couple, f, ts, validate=False)
     kv, dv = kprof.values, dprof.values
@@ -659,7 +666,7 @@ class PowerSandwichReport:
 
 
 def _power_sandwich(kind, couple, f, p, t_grid):
-    ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
+    ts = _as_grid(t_grid)
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError("convexification exponent must lie in (1, inf)")
     fv = values_of(f, couple.space.n)
@@ -781,30 +788,44 @@ def p_majorization_orders(couple: Couple, f, g) -> bool:
     return sorted_prefix_failure(np.sort(fp)[::-1], np.sort(gp)[::-1]) is None
 
 
-def k_order_dominates(couple: Couple, f, g, t_grid=None) -> bool:
-    """True when K(t, g) <= K(t, f) across the grid.
+def k_order_failure(couple: Couple, f, g, t_grid=None) -> str:
+    """Why K(t, g) <= K(t, f) fails across the grid, or "" when it holds.
 
     A pair that ``p_majorization_orders`` accepts is ordered at every t and
-    skips the grid.  On the (l1, linf) couple the comparison is also decided
-    exactly through the weighted rearrangement integrals; if the exact
-    decision says the domination holds everywhere while the grid sees a
-    violation beyond its slack, the two routes contradict each other and
-    that is an internal error, not a property of the input.
+    skips the grid.  Otherwise one validated K profile of the stack [f, g]
+    goes through ``k_order_breaks``, and the message names the first broken
+    t.  On the (l1, linf) couple the exact comparison of the weighted
+    rearrangement integrals decides; if it says the domination holds
+    everywhere while the grid sees a violation beyond its slack, the two
+    routes contradict each other and that is an internal error, not a
+    property of the input.
     """
-    ts = default_t_grid() if t_grid is None else _as_grid(t_grid)
+    ts = _as_grid(t_grid)
+    if p_majorization_orders(couple, f, g):
+        return ""
     fv = values_of(f, couple.space.n)
     gv = values_of(g, couple.space.n)
-    if p_majorization_orders(couple, fv, gv):
-        return True
-    broken, _ = k_order_breaks(
-        profile("K", couple, np.stack([fv, gv]), ts, validate=False)
-    )
-    grid_ok = not broken.any()
+    prof = profile("K", couple, np.stack([fv, gv]), ts)
+    broken, tol = k_order_breaks(prof)
     if is_l1_linf(couple):
         exact_ok = weighted_weak_submajorizes(couple.space, fv, gv)
-        if exact_ok and not grid_ok:
+        if exact_ok and broken.any():
             raise InternalConsistencyError(
                 "exact rearrangement comparison and grid comparison disagree"
             )
-        return exact_ok
-    return grid_ok
+        if not (exact_ok or broken.any()):
+            return "pair is not ordered: the exact rearrangement comparison fails off the grid"
+    if not broken.any():
+        return ""
+    i = int(np.argmax(broken))
+    kf, kg = prof.values[:, i]
+    return (
+        f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, "
+        f"K(t, g) = {kg:.17g} exceeds K(t, f) = "
+        f"{kf:.17g} by more than the tolerance {tol[i]:.3e}"
+    )
+
+
+def k_order_dominates(couple: Couple, f, g, t_grid=None) -> bool:
+    """True when K(t, g) <= K(t, f) across the grid: ``k_order_failure`` is empty."""
+    return not k_order_failure(couple, f, g, t_grid)

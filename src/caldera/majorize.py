@@ -65,15 +65,11 @@ def weak_submajorizes(f, g) -> bool:
     comparison allows relative slack ``SUBMAJORIZATION_TOL`` against the
     running f* prefix to absorb floating point noise.
     """
-    return _first_failing_prefix(f, g) is None
-
-
-def _first_failing_prefix(f, g):
     fs = decreasing_rearrangement(f).sorted
     gs = decreasing_rearrangement(g).sorted
     if fs.size != gs.size:
         raise DimensionMismatch("vectors must have the same length")
-    return sorted_prefix_failure(fs, gs)
+    return sorted_prefix_failure(fs, gs) is None
 
 
 def sorted_prefix_failure(fs: np.ndarray, gs: np.ndarray):
@@ -129,11 +125,18 @@ def weighted_weak_submajorizes(space: MeasureSpace, f, g) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _require_nonincreasing_nonneg(x: np.ndarray, name: str):
-    if np.any(x < 0.0):
-        raise DomainError(f"{name} must be nonnegative")
-    if x.size > 1 and np.any(np.diff(x) > 1e-12 * max(1.0, float(x[0]))):
-        raise DomainError(f"{name} must be nonincreasing")
+def _sorted_pair(fstar, other, name: str):
+    """fstar and ``other`` as arrays, checked to be of one length,
+    nonnegative and nonincreasing."""
+    x, y = values_of(fstar), values_of(other)
+    if x.size != y.size:
+        raise DimensionMismatch(f"fstar and {name} must have the same length")
+    for v, label in ((x, "fstar"), (y, name)):
+        if np.any(v < 0.0):
+            raise DomainError(f"{label} must be nonnegative")
+        if v.size > 1 and np.any(np.diff(v) > 1e-12 * max(1.0, float(v[0]))):
+            raise DomainError(f"{label} must be nonincreasing")
+    return x, y
 
 
 def fill_to_exact_majorization(fstar, gstar) -> np.ndarray:
@@ -145,13 +148,8 @@ def fill_to_exact_majorization(fstar, gstar) -> np.ndarray:
     nonincreasing: a raised block never averages above the f* tail next to
     it.
     """
-    fs = values_of(fstar)
-    gs = values_of(gstar)
-    if fs.size != gs.size:
-        raise DimensionMismatch("fstar and gstar must have the same length")
-    _require_nonincreasing_nonneg(fs, "fstar")
-    _require_nonincreasing_nonneg(gs, "gstar")
-    bad = _first_failing_prefix(fs, gs)
+    fs, gs = _sorted_pair(fstar, gstar, "gstar")
+    bad = sorted_prefix_failure(fs, gs)
     if bad is not None:
         raise DomainError(f"gstar is not weakly submajorized by fstar (prefix {bad})")
     return _water_fill(fs, gs)
@@ -216,26 +214,22 @@ def t_transform_chain(fstar, h) -> TransformChain:
     indices above and below target, and only rows j and k of the product
     are replaced, in place, by their two convex combinations.
     """
-    x = values_of(fstar)
-    y = values_of(h)
-    if x.size != y.size:
-        raise DimensionMismatch("fstar and h must have the same length")
-    _require_nonincreasing_nonneg(x, "fstar")
-    _require_nonincreasing_nonneg(y, "h")
-    _require_equal_mass(x, y)
-    if _first_failing_prefix(x, y) is not None:
-        raise DomainError("h must be majorized by fstar")
-    s, steps = _pinch_chain(x, y)
+    s, steps = _majorized_chain(*_sorted_pair(fstar, h, "h"))
     s.setflags(write=False)
     return TransformChain(
         matrix=s, factors=tuple(PinchFactor(j=j, k=k, lam=lam) for j, k, lam in steps)
     )
 
 
-def _require_equal_mass(x: np.ndarray, y: np.ndarray):
+def _majorized_chain(x: np.ndarray, y: np.ndarray):
+    """``_pinch_chain(x, y)`` once y, nonincreasing like x, is checked to be
+    majorized by x: equal total mass and every prefix sum at most x's."""
     sum_gap = abs(float(np.sum(x) - np.sum(y)))
     if sum_gap > 1e-10 * max(np.sum(np.abs(x)), 1.0):
         raise DomainError("h must have the same total mass as fstar")
+    if sorted_prefix_failure(x, y) is not None:
+        raise DomainError("h must be majorized by fstar")
+    return _pinch_chain(x, y)
 
 
 def _pinch_chain(x: np.ndarray, y: np.ndarray):
@@ -378,10 +372,7 @@ def construct_positive_operator(space: MeasureSpace, f, g) -> MatrixOperator:
         raise DomainError(f"g is not weakly submajorized by f (prefix {bad})")
 
     h = _water_fill(fs, gs)
-    _require_equal_mass(fs, h)
-    if sorted_prefix_failure(fs, h) is not None:
-        raise DomainError("h must be majorized by fstar")
-    s, _ = _pinch_chain(fs, h)
+    s, _ = _majorized_chain(fs, h)
     with np.errstate(invalid="ignore", divide="ignore"):
         d = np.where(h > 0.0, gs / np.where(h > 0.0, h, 1.0), 0.0)
     s *= d[:, None]

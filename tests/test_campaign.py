@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -91,6 +92,23 @@ def test_parse_config_rejects_unknown_keys_and_suites():
     for spec in ("geometric:1,2", "geometric:1,2,x", "geometric:1,2,3,4"):
         with pytest.raises(DomainError, match="geometric:lo,hi,count"):
             parse_config(f"t_grid = {spec}")
+
+
+def test_campaign_tables_keep_their_order_and_error_texts():
+    assert CSV_COLUMNS == (
+        "suite", "instance", "seed", "n", "p",
+        "max_ratio", "violations", "residual", "runtime_s", "error",
+    )
+    assert CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(CampaignRow))
+    with pytest.raises(DomainError) as info:
+        parse_config("seed = 1\nwat = 1")
+    assert str(info.value) == "unknown config key on line 2: 'wat'"
+    with pytest.raises(DomainError) as info:
+        parse_config("suites = sandwich, quux")
+    assert str(info.value) == (
+        "unknown suite: 'quux'; valid suites: sandwich, claim1, maligranda, "
+        "minkowski, lift-holder, lattice-props"
+    )
 
 
 def test_empty_suites_gives_empty_passing_report(tmp_path):

@@ -517,6 +517,15 @@ def test_truncation_failure_reports_t_value_and_gap(monkeypatch):
     assert info.value.gap > kfunc.SOLVER_REL_GAP * info.value.best_value
 
 
+@pytest.mark.parametrize("p1", [INF, 3.0])
+def test_k_solves_fail_closed_on_a_nan_gap(p1):
+    # the powers overflow, so both solves stop at inf with gap inf - inf
+    couple = Couple(space=MeasureSpace([1e3] * 3), norm0=WeightedP(1.5), norm1=WeightedP(p1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match=r"at t = 1000 stopped at inf with gap nan"):
+            k_numeric(couple, [1e307, 5e306, 2e306], 1000.0)
+
+
 FINITE_EXPONENTS = (1.0, 1.001, 1.01, 1.05, 1.1, 1.5, 2.0, 3.0, 6.0, 40.0, 120.0)
 
 
@@ -1025,8 +1034,6 @@ def _order_by_single_profiles(couple, f, g, ts):
 
 
 def test_k_order_decisions_match_one_vector_profiles():
-    from caldera.extend import _require_k_ordering
-
     rng = np.random.default_rng(97)
     ts = default_t_grid()
     decisions = set()
@@ -1041,12 +1048,10 @@ def test_k_order_decisions_match_one_vector_profiles():
             g = g * float(rng.uniform(1.0, 3.0)) + float(rng.uniform(0.0, 0.5)) * np.abs(f)
         expected = _order_by_single_profiles(couple, f, g, ts)
         assert k_order_dominates(couple, f, g) == expected
-        try:
-            _require_k_ordering(couple, f, g)
-            lifted = True
-        except DomainError:
-            lifted = False
-        assert lifted == expected
+        failure = kfunc.k_order_failure(couple, f, g)
+        assert (failure == "") == expected
+        if not expected:
+            assert failure.startswith("pair is not ordered on the convexified couple")
         decisions.add(expected)
     assert decisions == {True, False}
 
