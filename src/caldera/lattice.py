@@ -148,8 +148,13 @@ def weighted_p_norm(w: np.ndarray, a: np.ndarray, p: float):
         return a.max(axis=-1, initial=0.0)
     if p == 1.0:
         return a @ w
-    m = a.max(axis=-1, initial=0.0)
-    # factor out the max to avoid overflow for large exponents
+    return scaled_p_norm(w, a, a.max(axis=-1, initial=0.0), p)
+
+
+def scaled_p_norm(w: np.ndarray, a: np.ndarray, m, p: float):
+    """Weighted p-norm of nonnegative moduli ``a`` for a finite p > 1, given
+    their maxima ``m`` over the last axis; the max is factored out so that
+    large exponents do not overflow."""
     safe = np.where(m > 0.0, m, 1.0)
     return m * (w * (a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
 

@@ -302,7 +302,20 @@ class MatrixOperator:
     positive: bool = False
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        # a copy, so that later edits of the caller's array never reach the operator
+        self._seal(np.array(self.entries, dtype=float))
+
+    @classmethod
+    def _adopt(cls, space: MeasureSpace, entries: np.ndarray, positive: bool = False):
+        """The operator on a float array its caller has just built and hands
+        over: the same checks, without the copy."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "space", space)
+        object.__setattr__(op, "positive", positive)
+        op._seal(entries)
+        return op
+
+    def _seal(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("operator entries must form a square matrix")
         if m.shape[0] != self.space.n:
@@ -378,4 +391,4 @@ def construct_positive_operator(space: MeasureSpace, f, g) -> MatrixOperator:
     s *= d[:, None]
     t = np.empty((n, n))
     t[np.ix_(sort_g, sort_f)] = s
-    return MatrixOperator(space=space, entries=t, positive=True)
+    return MatrixOperator._adopt(space, t, positive=True)

@@ -640,6 +640,36 @@ def test_verify_lift_checks_vector_lengths_and_the_couple():
             verify_lift(lift, lift.majorant, f, g, other)
 
 
+def test_verify_lift_rejects_a_majorant_that_is_not_the_lifts():
+    inst = generate_instance(1, 6, p=2.0, k_ordered=True)
+    lift = lift_operator(inst.couple, inst.f, inst.g, 2.0, audit_samples=10)
+    conv = convexify_couple(inst.couple, 2.0)
+    T = lift.majorant.operator
+    for other in (
+        SublinearMajorant(operator=T, alpha=default_alpha(3.0), p=3.0),
+        SublinearMajorant(operator=T, alpha=1.0, p=2.0),
+    ):
+        with pytest.raises(DomainError, match="majorant"):
+            verify_lift(lift, other, inst.f, inst.g, conv)
+    wider = _identity_majorant(7, alpha=default_alpha(2.0), p=2.0)
+    with pytest.raises(DimensionMismatch, match="majorant has 7 atoms"):
+        verify_lift(lift, wider, inst.f, inst.g, conv)
+    assert verify_lift(lift, lift.majorant, inst.f, inst.g, conv, samples=10).ok
+
+
+def test_operators_own_their_entries_and_lift_operators_are_read_only():
+    entries = np.eye(3)
+    op = MatrixOperator(space=_uniform(3), entries=entries, positive=True)
+    entries[0, 0] = -5.0
+    assert np.array_equal(op.entries, np.eye(3))
+    assert not op.entries.flags.writeable
+    lift = lift_operator(base_couple(4), [4.0, 2.0, 1.0, 0.5], [2.0, 1.0, 0.5, 0.25], 2.0)
+    for built in (lift.operator, lift.majorant.operator):
+        assert not built.entries.flags.writeable
+        with pytest.raises(ValueError):
+            built.entries[0, 0] = 1.0
+
+
 def test_verify_lift_is_deterministic():
     rng = np.random.default_rng(41)
     couple = base_couple(5)
@@ -789,7 +819,9 @@ def test_audit_blocks_replay_one_choice_and_uniform_draw(monkeypatch, samples, n
     assert np.array_equal(np.concatenate(blocks), expected)
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 34, 127, 128, 129, 256])
+# n = 63, 64 and 65 straddle extend._COLUMN_MAX_BELOW, where the row maxima
+# switch from a column-major copy to numpy's per-row reduction
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 34, 63, 64, 65, 127, 128, 129, 256])
 def test_blocked_audit_equals_one_shot_audit(n):
     p = (1.5, 2.0, 3.0)[n % 3]
     inst = generate_instance(n, n, p=p, k_ordered=True)
@@ -799,6 +831,45 @@ def test_blocked_audit_equals_one_shot_audit(n):
     for samples in (1, 997, 1000, 4000):
         args = (lift.operator, lift.majorant, fv, gv, conv, samples, n + samples)
         assert extend._audit_lift(*args) == _one_shot_audit(*args)
+
+
+def test_audit_of_a_zero_target_equals_the_one_shot_audit():
+    # g = 0 makes L and every Lh zero, so each row maximum of |Lh| is 0
+    couple = base_couple(5)
+    f, g = np.array([3.0, -1.0, 0.5, 2.0, 0.0]), np.zeros(5)
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=1)
+    assert not lift.operator.entries.any()
+    conv = convexify_couple(couple, 2.0)
+    args = (lift.operator, lift.majorant, f, g, conv, 997, 4)
+    assert extend._audit_lift(*args) == _one_shot_audit(*args) == (0.0, 0, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("n, p", [(3, 1.5), (12, 2.0), (40, 3.0), (64, 2.0)])
+def test_verify_lift_equals_the_one_shot_audit(n, p):
+    inst = generate_instance(2, n, p=p, k_ordered=True)
+    lift = lift_operator(inst.couple, inst.f, inst.g, p, audit_samples=50)
+    conv = convexify_couple(inst.couple, p)
+    fv, gv = np.asarray(inst.f), np.asarray(inst.g)
+    report = verify_lift(lift, lift.majorant, fv, gv, conv, samples=4000, seed=11)
+    expected = _one_shot_audit(lift.operator, lift.majorant, fv, gv, conv, 4000, 11)
+    got = (report.residual_lf_g, report.domination_violations, report.norm_sample_ratios)
+    assert got == expected
+
+
+@pytest.mark.parametrize("p, count", [(120.0, 8), (160.0, 1112)])
+def test_large_p_audit_counts_equal_the_one_shot_audit(p, count):
+    # the standing large-p defect: H(h) underflows or overflows in
+    # SublinearMajorant.values, so the audit counts false violations; this
+    # pins the count, and a majorant that mends it should lower it
+    inst = generate_instance(1, 8, p=200.0, k_ordered=True)
+    fv, gv = np.asarray(inst.f), np.asarray(inst.g)
+    with np.errstate(all="ignore"):
+        lift = lift_operator(inst.couple, fv, gv, p, audit_samples=1)
+        conv = convexify_couple(inst.couple, p)
+        args = (lift.operator, lift.majorant, fv, gv, conv, 2000, 0)
+        got = extend._audit_lift(*args)
+        assert got == _one_shot_audit(*args)
+    assert got[1] == count
 
 
 def test_audit_memory_does_not_grow_with_the_sample_count():
@@ -823,17 +894,17 @@ def test_a_nan_ratio_in_any_audit_block_reaches_the_certificate(monkeypatch):
     lift = lift_operator(couple, f, g, 2.0, audit_samples=1)
     conv = convexify_couple(couple, 2.0)
     monkeypatch.setattr(extend, "AUDIT_BLOCK", 8)  # 4 samples a block at n = 2
-    exact = extend.norm_values
+    exact = extend.scaled_p_norm
     calls = []
 
-    def nan_in_first_block(spec, space, rows):
-        calls.append(rows.shape[0])
-        values = exact(spec, space, rows)
+    def nan_in_first_block(w, a, m, p):
+        calls.append(a.shape[0])
+        values = exact(w, a, m, p)
         return np.full_like(values, math.nan) if len(calls) == 1 else values
 
-    monkeypatch.setattr(extend, "norm_values", nan_in_first_block)
+    monkeypatch.setattr(extend, "scaled_p_norm", nan_in_first_block)
     report = verify_lift(lift, lift.majorant, f, g, conv, samples=10)
-    assert calls == [4] * 8 + [2] * 4  # both norms of Lh and h in each block
+    assert calls == [4] * 4 + [2] * 2  # the p-norms of Lh and h in each block
     assert math.isnan(report.norm_sample_ratios[0]) and not report.ok
 
 

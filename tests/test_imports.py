@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "caldera"
 # (module, name) imported without a use, each with the reason it stays
 ALLOWED = {
     ("extend", "profile"): "perfbench/tracing.py patches extend.profile",
+    ("extend", "norm_values"): "perfbench/tracing.py patches extend.norm_values",
 }
 
 

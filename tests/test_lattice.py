@@ -22,7 +22,7 @@ from caldera import (
     support,
     vector,
 )
-from caldera.lattice import dual_p_norm, norm_values, weighted_p_norm
+from caldera.lattice import dual_p_norm, norm_values, scaled_p_norm, weighted_p_norm
 
 REL = 1e-12
 
@@ -182,6 +182,21 @@ def test_p_norm_kernel_rows_vectors_and_direct_sum():
                 assert single == pytest.approx(
                     _direct_p_norm(w, row, p), rel=1e-14, abs=0.0
                 )
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 50.0])
+def test_scaled_p_norm_with_the_row_max_is_bit_equal_to_the_kernel(p):
+    rng = np.random.default_rng(int(p * 100))
+    for n in (1, 2, 7, 64, 257):
+        w = 10.0 ** rng.uniform(-1, 1, size=n)
+        rows = 10.0 ** rng.uniform(-3, 3, size=(int(rng.integers(1, 40)), n))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[0] = 0.0
+        for a in (rows, rows[-1]):
+            expected = weighted_p_norm(w, a, p)
+            got = scaled_p_norm(w, a, a.max(-1), p)
+            assert np.array_equal(got, expected)
+            assert np.shape(got) == np.shape(expected)
 
 
 def _extremal(w, z, p):
