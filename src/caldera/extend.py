@@ -7,7 +7,7 @@ Each output coordinate prescribes a rank-one constraint l(f) = g_i with
 the weighted l_q dual ball is strictly convex, so the only dominated
 extension is the functional that saturates Holder's inequality at f
 (Taylor 1939, Foguel 1958).  All rows are one formula, certified by one
-batched dual-seminorm evaluation: L = diag(target/denom) . alpha T .
+batched dual-seminorm evaluation per block: L = diag(target/denom) . alpha T .
 diag(|f|^(p-1) sgn f) with denom = alpha T |f|^p.  Then Lf = g and
 |Lh| <= H(h), which pins the operator norm on both convexified spaces at
 2^(1-1/p) when alpha = 2^(p-1).  The precondition K(t, g) <= K(t, f) on
@@ -46,7 +46,9 @@ RESIDUAL_BUDGET = 1e-8
 DOMINATION_SLACK = 1e-9
 # slack of the sampled Minkowski, homogeneity and subadditivity checks
 PROPERTY_TOL = 1e-12
-# float64 entries per audit block array: 256 KiB, about one L2 cache
+# float64 entries per block array of every lift stage (the Holder rows, the
+# audit draw and its products): 256 KiB, about one L2 cache.  A lift holds
+# its outputs T and L and a few such blocks, whatever n or the sample count
 AUDIT_BLOCK = 32768
 # rows shorter than this take their maxima on a column-major copy.  Median
 # of 9 x 100 calls on a 2000-row block (one 2-vCPU Xeon VM): numpy's
@@ -103,10 +105,17 @@ class SublinearMajorant:
         return self.alpha * self.operator.entries[i]
 
     def values(self, h: np.ndarray) -> np.ndarray:
-        """H(h), reduced over the last axis: one vector or a batch of rows."""
-        return ((self.alpha * np.abs(h) ** self.p) @ self.operator.entries.T) ** (
-            1.0 / self.p
-        )
+        """H(h), reduced over the last axis: one vector or a batch of rows.
+
+        (alpha |h|^p) T^t and its 1/p-th power are formed in place on the
+        fresh |h| and the product, never on ``h``.
+        """
+        x = np.abs(h, dtype=float)
+        x **= self.p
+        x *= self.alpha
+        hh = x @ self.operator.entries.T
+        hh **= 1.0 / self.p
+        return hh
 
 
 def apply_majorant(majorant: SublinearMajorant, h) -> LatticeVector:
@@ -135,7 +144,8 @@ def check_minkowski(operator: MatrixOperator, h1, h2, p: float) -> PropertyRepor
     a = values_of(h1)
     b = values_of(h2)
     excess = majorant.values(a + b) - (majorant.values(a) + majorant.values(b))
-    bad = np.flatnonzero(excess > PROPERTY_TOL)
+    # fail closed: an overflowing H makes the excess inf - inf = NaN
+    bad = np.flatnonzero(~(excess <= PROPERTY_TOL))
     violations = tuple((int(i), float(excess[i])) for i in bad)
     return PropertyReport(ok=not violations, checked=a.size, violations=violations)
 
@@ -161,7 +171,10 @@ def check_sublinear(
         together = majorant.values(h1 + h2)
         hom_err = np.abs(scaled - np.abs(c) * base)
         held = (
-            np.all(np.isfinite([base, scaled, other, together]), axis=0)
+            np.isfinite(base)
+            & np.isfinite(scaled)
+            & np.isfinite(other)
+            & np.isfinite(together)
             & (hom_err <= PROPERTY_TOL * np.maximum(scaled, 1e-300))
             & (together - (base + other) <= PROPERTY_TOL)
         )
@@ -186,15 +199,53 @@ def holder_rows(
     target is g clamped onto the attainable bound denom^(1/p); a row with
     g_i = 0 is zero.  The batched certificate scales overshoot up to
     ROW_RESCALE_TOL away and fails on any other dual norm, NaN included.
+    The rows are filled in blocks of AUDIT_BLOCK entries; a DomainError on
+    any row takes precedence over a failed certificate, and each error names
+    the first row it found.
     """
     fv = values_of(f)
-    if fv.shape != (majorant.operator.space.n,):
+    n = majorant.operator.space.n
+    if fv.shape != (n,):
         raise DomainError("vector length does not match the operator space")
     g = values_of(g, len(rows))
     p = majorant.p
-    w = majorant.alpha * majorant.operator.entries[rows]
     a = np.abs(fv)
-    denom = (w * a**p).sum(axis=-1)
+    powered, slope, sign = a**p, a ** (p - 1.0), np.sign(fv)
+    out = np.empty((len(rows), n))
+    failure = None
+    step = max(1, AUDIT_BLOCK // n)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        ell = out[block]
+        rho = _holder_block(
+            majorant, rows[block], g[block], powered, slope, sign, slack, ell
+        )
+        failed = np.flatnonzero(~(rho <= 1.0 + ROW_RESCALE_TOL))
+        if not failed.size:
+            ell /= np.maximum(rho, 1.0)[:, None]
+        elif failure is None:
+            k = start + int(failed[0])
+            bad = float(rho[failed[0]])
+            failure = NumericalFailure(
+                f"row {rows[k]}: domination certificate failed with dual norm "
+                f"{bad:.12g}",
+                best_value=bad,
+                gap=bad - 1.0,
+            )
+    if failure is not None:
+        raise failure
+    return out
+
+
+def _holder_block(
+    majorant: SublinearMajorant, rows, g, powered, slope, sign, slack, ell
+):
+    """Fill ``ell`` with the unscaled Holder rows ``rows`` of ``holder_rows``
+    and return their dual norms; raise the block's first DomainError."""
+    p = majorant.p
+    w = majorant.operator.entries[rows]
+    w *= majorant.alpha
+    denom = (w * powered).sum(axis=-1)
     attainable = denom ** (1.0 / p)
     mag = np.abs(g)
     over = mag > attainable
@@ -212,20 +263,16 @@ def holder_rows(
             f"bound {attainable[k]:.6g} beyond tolerance"
         )
     target = np.where(over, np.copysign(attainable, g), g)[:, None]
-    live = (g != 0.0)[:, None]
-    safe = np.where(live, denom[:, None], 1.0)
-    ell = np.where(live, target * w * a ** (p - 1.0) * np.sign(fv) / safe, 0.0)
-    rho = dual_p_norm(np.where(w > 0.0, w, 1.0), ell, p)
-    failed = np.flatnonzero(~(rho <= 1.0 + ROW_RESCALE_TOL))
-    if failed.size:
-        k = int(failed[0])
-        bad = float(rho[k])
-        raise NumericalFailure(
-            f"row {rows[k]}: domination certificate failed with dual norm {bad:.12g}",
-            best_value=bad,
-            gap=bad - 1.0,
-        )
-    return ell / np.maximum(rho, 1.0)[:, None]
+    live = g != 0.0
+    safe = np.where(live, denom, 1.0)[:, None]
+    # target * w * |f|^(p-1) * sgn f / denom on live rows, zero on the others
+    np.multiply(target, w, out=ell)
+    ell *= slope
+    ell *= sign
+    ell /= safe
+    ell[~live] = 0.0
+    w[~(w > 0.0)] = 1.0
+    return dual_p_norm(w, ell, p)
 
 
 def holder_extension_row(
@@ -289,9 +336,17 @@ def _audit_samples(samples: int, n: int, seed: int):
     exponents = np.random.Generator(bits)
     rows = max(1, AUDIT_BLOCK // n)
     for start in range(0, samples, rows):
-        shape = (min(rows, samples - start), n)
-        sign = 2.0 * signs.integers(0, 2, size=shape) - 1.0
-        yield sign * 10.0 ** exponents.uniform(-2.0, 2.0, size=shape)
+        yield _draw_block(signs, exponents, (min(rows, samples - start), n))
+
+
+def _draw_block(signs, exponents, shape) -> np.ndarray:
+    """sign * 10^u for one block, the power and the product taken in place."""
+    sign = 2.0 * signs.integers(0, 2, size=shape)
+    sign -= 1.0
+    h = exponents.uniform(-2.0, 2.0, size=shape)
+    np.power(10.0, h, out=h)
+    h *= sign
+    return h
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -322,10 +377,10 @@ def _audit_lift(
     is fed the same |h|; each row maximum is taken once and serves both the
     sup ratio and the scaling of the p-norm (``scaled_p_norm``), on a
     column-major copy for rows shorter than ``_COLUMN_MAX_BELOW``.  Rows are
-    counted as violations only in a block where some comparison fails.
+    counted as violations only in a block where some comparison fails.  A
+    block's arrays live only inside ``_audit_block``.
     """
     space = operator.space
-    w = space.weights
     p = effective_exponent(conv.norm0)
     residual = float(
         np.max(np.abs(operator.apply(f) - g)) / (1.0 + np.max(np.abs(g)))
@@ -333,17 +388,28 @@ def _audit_lift(
     viol = 0
     peaks = np.full(2, -np.inf)
     for h in _audit_samples(samples, space.n, seed):
-        ah = np.abs(h)
-        alh = np.abs(h @ operator.entries.T)
-        hh = majorant.values(ah)
-        held = np.isfinite(hh) & (alh <= hh * (1.0 + DOMINATION_SLACK))
-        if not held.all():
-            viol += int(np.sum(~np.all(held, axis=1)))
-        mh, mlh = _row_max(ah), _row_max(alh)
-        top, bot = scaled_p_norm(w, alh, mlh, p), scaled_p_norm(w, ah, mh, p)
+        count, ratios = _audit_block(operator, majorant, h, p)
+        viol += count
         # np.maximum keeps a NaN ratio, which the certificate counts as broken
-        peaks = np.maximum(peaks, [np.max(top / bot), np.max(mlh / mh)])
+        peaks = np.maximum(peaks, ratios)
     return residual, viol, tuple(float(r) for r in peaks)
+
+
+def _audit_block(
+    operator: MatrixOperator, majorant: SublinearMajorant, h: np.ndarray, p: float
+):
+    """Domination violations and the two norm ratios' maxima on one block of
+    the draw.  |h| and |Lh| overwrite the fresh block and the product."""
+    alh = h @ operator.entries.T
+    np.abs(alh, out=alh)
+    ah = np.abs(h, out=h)
+    hh = majorant.values(ah)
+    held = np.isfinite(hh) & (alh <= hh * (1.0 + DOMINATION_SLACK))
+    count = 0 if held.all() else int(np.sum(~np.all(held, axis=1)))
+    w = operator.space.weights
+    mh, mlh = _row_max(ah), _row_max(alh)
+    top, bot = scaled_p_norm(w, alh, mlh, p), scaled_p_norm(w, ah, mh, p)
+    return count, [np.max(top / bot), np.max(mlh / mh)]
 
 
 def lift_operator(

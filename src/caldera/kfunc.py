@@ -522,6 +522,11 @@ class KProfile:
 
 def _validate_profile(prof: KProfile):
     ts, vs = prof.t_grid, prof.values
+    # an overflowing input, not a broken solver: name the first t it reaches
+    broken = ~np.isfinite(vs).reshape(-1, ts.size).all(axis=0)
+    if broken.any():
+        t = ts[np.argmax(broken)]
+        raise DomainError(f"{prof.kind} profile overflows: not finite at t = {t:g}")
     scale = np.maximum(np.max(vs, axis=-1, keepdims=True, initial=0.0), 1e-300)
     slack = PROFILE_TOL * scale + 1e-15
     if np.any(np.diff(vs) < -slack):
@@ -631,6 +636,9 @@ def check_k_d_sandwich(couple: Couple, f, t_grid=None):
             violations.append((float(t), "D below K", float(kv[i] - dv[i])))
         if dv[i] > 2.0 * kv[i] + 2.0 * slack[i]:
             violations.append((float(t), "D above 2K", float(dv[i] - 2.0 * kv[i])))
+    # fail closed: every comparison with a NaN is False
+    if not (np.all(np.isfinite(kv)) and np.all(np.isfinite(dv))):
+        violations.append((float("nan"), "non-finite value", math.inf))
     ratios = np.where(kv > 0.0, dv / np.where(kv > 0, kv, 1.0), 1.0)
     return SandwichReport(
         ok=not violations,

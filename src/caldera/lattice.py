@@ -156,19 +156,27 @@ def scaled_p_norm(w: np.ndarray, a: np.ndarray, m, p: float):
     their maxima ``m`` over the last axis; the max is factored out so that
     large exponents do not overflow."""
     safe = np.where(m > 0.0, m, 1.0)
-    return m * (w * (a / safe[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+    # m * (w * (a / m) ** p).sum(-1) ** (1 / p), the power and the product
+    # taken in place on the quotient
+    x = a / safe[..., None]
+    x **= p
+    x *= w
+    return m * x.sum(axis=-1) ** (1.0 / p)
 
 
 def dual_p_norm(w: np.ndarray, z: np.ndarray, p: float):
-    """Norm dual to the weighted p-norm under the plain dot pairing."""
-    az = np.abs(z)
+    """Norm dual to the weighted p-norm under the plain dot pairing; ``w``
+    broadcasts against ``z``, whose moduli are divided in place."""
+    az = np.abs(z, dtype=float)
     if p == 1.0:
-        return (az / w).max(axis=-1, initial=0.0)
+        az /= w
+        return az.max(axis=-1, initial=0.0)
     if p == INF:
         return az.sum(axis=-1)
     # the plain q-norm of |z| / w^(1/p); the weights w^(-q/p) overflow near p = 1
     q = p / (p - 1.0)
-    return weighted_p_norm(np.ones(az.shape[-1]), az / w ** (1.0 / p), q)
+    az /= w ** (1.0 / p)
+    return weighted_p_norm(np.ones(az.shape[-1]), az, q)
 
 
 def norm(spec: NormSpec, f: LatticeVector) -> float:

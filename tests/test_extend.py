@@ -159,6 +159,34 @@ def test_check_minkowski_requires_positive_operator():
         check_minkowski(op, [1.0, 0.0], [0.0, 1.0], 2.0)
 
 
+def test_check_minkowski_fails_closed_when_the_majorant_overflows():
+    ones = MatrixOperator(space=_uniform(3), entries=np.ones((3, 3)), positive=True)
+    h = [1e200, 1.0, 1.0]
+    with np.errstate(all="ignore"):
+        report = check_minkowski(ones, h, h, 3.0)
+    # |h|^3 overflows, so each excess is inf - inf = NaN
+    assert not report.ok
+    assert [i for i, _ in report.violations] == [0, 1, 2]
+    assert all(math.isnan(excess) for _, excess in report.violations)
+
+
+@pytest.mark.parametrize("h", [[3, -1, 0, 2], np.array([3, -1, 0, 2])])
+def test_majorant_values_of_a_list_or_an_int_array_equal_the_float_path(h):
+    rng = np.random.default_rng(19)
+    op = MatrixOperator(space=_uniform(4), entries=rng.random((4, 4)), positive=True)
+    H = SublinearMajorant(operator=op, alpha=default_alpha(1.5), p=1.5)
+    hf = np.array([3.0, -1.0, 0.0, 2.0])
+    assert np.array_equal(H.values(h), H.values(hf))
+    assert np.array_equal(H.values([h, h]), H.values(np.stack([hf, hf])))
+
+
+def test_majorant_values_leave_their_input_alone():
+    H = _identity_majorant(3, alpha=2.0, p=2.0)
+    h = np.array([[1.0, -2.0, 0.5]])
+    H.values(h)
+    assert np.array_equal(h, [[1.0, -2.0, 0.5]])
+
+
 def test_check_sublinear_samples():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -330,6 +358,92 @@ def test_nan_row_certificate_fails_closed(monkeypatch):
         holder_extension_row(H, [1.0, 2.0, 3.0], 1.0, 1)
     with pytest.raises(NumericalFailure, match="row 0: domination certificate"):
         lift_operator(base_couple(2), [2.0, 0.0], [1.0, 1.0], 2.0)
+
+
+def _one_shot_holder_rows(majorant, f, g, rows, slack):
+    """The Holder rows in one (len(rows), n) pass: the oracle of the blocks."""
+    p = majorant.p
+    w = majorant.alpha * majorant.operator.entries[rows]
+    a = np.abs(f)
+    denom = (w * a**p).sum(axis=-1)
+    attainable = denom ** (1.0 / p)
+    target = np.where(np.abs(g) > attainable, np.copysign(attainable, g), g)[:, None]
+    live = (g != 0.0)[:, None]
+    safe = np.where(live, denom[:, None], 1.0)
+    ell = np.where(live, target * w * a ** (p - 1.0) * np.sign(f) / safe, 0.0)
+    rho = dual_p_norm(np.where(w > 0.0, w, 1.0), ell, p)
+    return ell / np.maximum(rho, 1.0)[:, None]
+
+
+@pytest.mark.parametrize(
+    "n, p, per_block", [(37, 1.5, 5), (64, 2.0, 7), (129, 3.0, 32)]
+)
+def test_blocked_holder_rows_equal_the_one_shot_rows(monkeypatch, n, p, per_block):
+    inst = generate_instance(4, n, p=p, k_ordered=True)
+    lift = lift_operator(inst.couple, inst.f, inst.g, p, audit_samples=1)
+    fv, gv = np.asarray(inst.f), np.asarray(inst.g)
+    gv[3] = 0.0  # a zero row among the blocks
+    rows = np.random.default_rng(n).permutation(n)
+    slack = 0.5 * extend.RESIDUAL_BUDGET * (1.0 + float(np.max(np.abs(gv))))
+    expected = _one_shot_holder_rows(lift.majorant, fv, gv[rows], rows, slack)
+    monkeypatch.setattr(extend, "AUDIT_BLOCK", per_block * n)
+    got = holder_rows(lift.majorant, fv, gv[rows], rows, slack=slack)
+    assert -(-n // per_block) >= 2
+    assert np.array_equal(got, expected)
+    assert not got[np.flatnonzero(rows == 3)].any()
+
+
+def test_blocked_holder_rows_raise_the_first_domain_error_before_any_failure(
+    monkeypatch,
+):
+    n = 12
+    H = _identity_majorant(n, alpha=2.0, p=2.0)
+    f = np.arange(1.0, n + 1.0)
+    g = apply_majorant(H, f).values.copy()
+    monkeypatch.setattr(extend, "AUDIT_BLOCK", 3 * n)  # 3 rows a block
+    exact = extend.dual_p_norm
+    calls = []
+
+    def nan_in_second_row_of_second_block(w, z, p):
+        calls.append(z.shape[0])
+        rho = exact(w, z, p)
+        if len(calls) == 2:
+            rho[1] = math.nan
+        return rho
+
+    monkeypatch.setattr(extend, "dual_p_norm", nan_in_second_row_of_second_block)
+    with pytest.raises(NumericalFailure, match=r"^row 4: domination .* dual norm nan"):
+        holder_rows(H, f, g, np.arange(n))
+    assert calls == [3, 3, 3, 3]
+    # rows 7 and 10 are beyond their bound, in blocks after the failed one
+    g[[7, 10]] *= 2.0
+    with pytest.raises(DomainError, match=r"^row 7: prescribed value"):
+        holder_rows(H, f, g, np.arange(n))
+    null_rows = np.diag([1.0] * 8 + [0.0] * 4)
+    H0 = SublinearMajorant(
+        operator=MatrixOperator(space=_uniform(n), entries=null_rows, positive=True),
+        alpha=2.0,
+        p=2.0,
+    )
+    g = apply_majorant(H0, f).values.copy()
+    g[[9, 11]] = 1.0
+    with pytest.raises(DomainError, match=r"^row 9: cannot dominate"):
+        holder_rows(H0, f, g, np.arange(n))
+
+
+def test_lift_at_the_cap_holds_its_outputs_and_a_few_blocks():
+    n = MAX_OPERATOR_SIZE
+    inst = generate_instance(3, n, p=1.5, k_ordered=True)
+    lift_operator(inst.couple, inst.f, inst.g, 1.5)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        lift = lift_operator(inst.couple, inst.f, inst.g, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lift.domination_violations == 0
+    # T and L are 0.5 MiB each at n = 256; a block array is 0.25 MiB
+    assert peak < 2.5 * 2**20, peak / 2**20
 
 
 def test_lift_violations_count_each_broken_certificate_fail_closed():

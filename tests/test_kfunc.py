@@ -919,6 +919,38 @@ def test_check_k_d_sandwich_random_instances():
     assert worst <= 2.0 + 1e-9
 
 
+def _overflowing_pair():
+    # weights 1e3 on moduli near the float ceiling: K and D overflow at large t
+    couple = l1_linf_couple(MeasureSpace([1e3] * 3))
+    return couple, np.array([1e307, 5e306, 2e306])
+
+
+def test_check_k_d_sandwich_counts_a_non_finite_profile_as_a_violation():
+    couple, f = _overflowing_pair()
+    with np.errstate(all="ignore"):
+        report = check_k_d_sandwich(couple, f)
+    # every comparison with the NaN ratio is False, so no other rule fires
+    assert math.isnan(report.max_ratio)
+    assert [side for _, side, _ in report.violations] == ["non-finite value"]
+    assert not report.ok
+
+
+@pytest.mark.parametrize("kind", ["K", "D"])
+def test_an_overflowing_profile_is_a_domain_error_naming_the_first_t(kind):
+    couple, f = _overflowing_pair()
+    ts = default_t_grid()
+    with np.errstate(all="ignore"):
+        values = profile(kind, couple, f, ts, validate=False).values
+        first = ts[np.argmax(~np.isfinite(values))]
+        with pytest.raises(DomainError, match=f"^{kind} profile overflows") as info:
+            profile(kind, couple, f, ts)
+        # a stack names the first t where any of its rows is not finite
+        with pytest.raises(DomainError) as stacked:
+            profile(kind, couple, np.stack([f / 1e10, f]), ts)
+    assert f"t = {first:g}" in str(info.value)
+    assert str(stacked.value) == str(info.value)
+
+
 def test_check_d_power_sandwich_frozen_example():
     sp = _uniform(2)
     couple = l1_linf_couple(sp)
