@@ -36,6 +36,7 @@ from .lattice import (
     # unused here; it stays because perfbench/tracing.py patches extend.norm_values
     norm_values,
     scaled_p_norm,
+    signed_log_uniform,
     values_of,
     vector,
 )
@@ -158,8 +159,7 @@ def check_sublinear(
     Sample k is row k = (h1 | h2 | c) of the blocked ``_audit_samples`` draw.
     It is bad unless its four H values are finite and both properties hold.
     """
-    if sample_count < 1:
-        raise DomainError(f"need at least one audit sample, got {sample_count}")
+    _check_audit_budget(sample_count, seed)
     n = majorant.operator.space.n
     violations: list = []
     start = 0
@@ -320,33 +320,25 @@ class VerifyReport:
     seed: int
 
 
-def _audit_samples(samples: int, n: int, seed: int):
-    """The audit's (samples, n) draw h = sign * 10^uniform(-2, 2) from
-    Generator(Philox(key=seed)), yielded in blocks of AUDIT_BLOCK entries.
-    The sign 2 integers(0, 2) - 1 is the draw choice([-1, 1]) makes.
+def _check_audit_budget(samples, seed) -> None:
+    """A DomainError unless the sample count is an integer >= 1 and the seed
+    an integer >= 0; bools are refused.  Callers check before any work."""
+    for name, value in (("audit sample count", samples), ("audit seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    if samples < 1:
+        raise DomainError(f"need at least one audit sample, got {samples}")
+    if seed < 0:
+        raise DomainError(f"audit seed must be nonnegative, got {seed}")
 
-    A sign takes one 32-bit word, so the exponents start ceil(samples n / 2)
-    64-bit words into the same stream, four words per Philox counter step.
-    """
-    signs = np.random.Generator(np.random.Philox(key=seed))
-    skip = -(-samples * n // 2)
-    bits = np.random.Philox(key=seed)
-    bits.advance(skip // 4)
-    bits.random_raw(skip % 4)
-    exponents = np.random.Generator(bits)
+
+def _audit_samples(samples: int, n: int, seed: int):
+    """The (samples, n) draw ``signed_log_uniform`` of Generator(SFC64(seed))
+    in blocks of AUDIT_BLOCK entries, one 64-bit word each: one draw's rows."""
+    rng = np.random.Generator(np.random.SFC64(seed))
     rows = max(1, AUDIT_BLOCK // n)
     for start in range(0, samples, rows):
-        yield _draw_block(signs, exponents, (min(rows, samples - start), n))
-
-
-def _draw_block(signs, exponents, shape) -> np.ndarray:
-    """sign * 10^u for one block, the power and the product taken in place."""
-    sign = 2.0 * signs.integers(0, 2, size=shape)
-    sign -= 1.0
-    h = exponents.uniform(-2.0, 2.0, size=shape)
-    np.power(10.0, h, out=h)
-    h *= sign
-    return h
+        yield signed_log_uniform(rng, (min(rows, samples - start), n))
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -429,6 +421,7 @@ def lift_operator(
     alpha = 2^(p-1) is solved for a positive substochastic T and L is built
     and certified by ``holder_rows``.
     """
+    _check_audit_budget(audit_samples, seed)
     if not is_l1_linf(couple) or not couple.space.is_uniform():
         raise DomainError("lifting requires the unweighted (l1, sup) base couple")
     if method not in ("holder", "greedy"):
@@ -436,8 +429,6 @@ def lift_operator(
     if not (1.0 < p < INF):
         raise DomainError("exponent must lie in (1, inf)")
     alpha = default_alpha(p)
-    if audit_samples < 1:
-        raise DomainError(f"need at least one audit sample, got {audit_samples}")
     space = couple.space
     fv = values_of(f)
     gv = values_of(g)
@@ -492,8 +483,7 @@ def verify_lift(
     """Recompute every lift certificate from scratch on a fresh sample set,
     on ``couple_p``, the lift's couple convexified at ``result.p``, against
     ``majorant``, which must be the lift's H: same size, p and alpha."""
-    if samples < 1:
-        raise DomainError(f"need at least one audit sample, got {samples}")
+    _check_audit_budget(samples, seed)
     space = result.operator.space
     if couple_p.space.n != space.n:
         raise DimensionMismatch(f"couple has {couple_p.space.n} atoms, lift {space.n}")

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 
 INF = math.inf
+_LN10 = math.log(10.0)
 
 
 def _as_readonly(values) -> np.ndarray:
@@ -177,6 +178,18 @@ def dual_p_norm(w: np.ndarray, z: np.ndarray, p: float):
     q = p / (p - 1.0)
     az /= w ** (1.0 / p)
     return weighted_p_norm(np.ones(az.shape[-1]), az, q)
+
+
+def signed_log_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    """The audits' law sign * 10^u: a fair sign independent of u uniform on
+    [-2, 2], both from one uniform v on [-1, 1), whose sign and modulus are
+    independent: the sign of v and u = 4|v| - 2, taken in place on |v|."""
+    v = rng.uniform(-1.0, 1.0, size=shape)
+    h = np.abs(v)
+    h *= 4.0 * _LN10
+    h -= 2.0 * _LN10
+    np.exp(h, out=h)
+    return np.copysign(h, v, out=h)
 
 
 def norm(spec: NormSpec, f: LatticeVector) -> float:

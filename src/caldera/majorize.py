@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     NumericalFailure,
 )
-from .lattice import MeasureSpace, NormSpec, norm_values, values_of
+from .lattice import MeasureSpace, NormSpec, norm_values, signed_log_uniform, values_of
 
 MAX_OPERATOR_SIZE = 256
 
@@ -345,11 +345,8 @@ def sample_operator_norm(
     """Sampled lower bound for the operator norm under a lattice norm."""
     if trials < 1:
         raise DomainError("need at least one trial")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    n = op.space.n
-    mags = 10.0 ** rng.uniform(-2.0, 2.0, size=(trials, n))
-    signs = np.where(rng.random(size=(trials, n)) < 0.5, -1.0, 1.0)
-    hs = mags * signs
+    rng = np.random.Generator(np.random.SFC64(int(seed)))
+    hs = signed_log_uniform(rng, (trials, op.space.n))
     num = norm_values(spec, op.space, hs @ op.entries.T)
     den = norm_values(spec, op.space, hs)
     return float(np.max(num / den))

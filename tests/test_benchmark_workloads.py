@@ -35,3 +35,21 @@ def test_workload_calls_run_and_certify(name, monkeypatch, tmp_path):
         assert workload.check(req, result) == ""
     if hasattr(workload, "verify"):
         assert workload.verify(req, result) == ""
+
+
+@pytest.mark.parametrize("name", ["lift-greedy", "lift-holder"])
+def test_lift_pools_pass_the_benchmark_correctness_gate(name, monkeypatch, tmp_path):
+    # every distinct pair of the seed-1 pool certifies, and each pair the
+    # benchmark keeps passes ``verify`` on fresh samples, so a new audit draw
+    # cannot turn the benchmark's ``correct`` flag false without failing here
+    workload = _load_workloads(monkeypatch).WORKLOADS[name]
+    pool = workload.setup(1, str(tmp_path))
+    results = {}
+    for req in pool:
+        if id(req) not in results:
+            results[id(req)] = workload.execute(req)
+            assert workload.check(req, results[id(req)]) == "", (req.n, req.p)
+    kept = {id(pool[k]): pool[k] for k in range(len(pool)) if workload.keep_for_verify(k)}
+    assert kept
+    for key, req in kept.items():
+        assert workload.verify(req, results[key]) == "", (req.n, req.p)

@@ -170,6 +170,15 @@ def test_cli_lift_rejects_zero_audit_samples(tmp_path, capsys, ordered_instance)
     assert "error: need at least one audit sample" in capsys.readouterr().err
 
 
+def test_cli_lift_rejects_a_negative_seed(tmp_path, capsys, ordered_instance):
+    _, path = ordered_instance
+    out = tmp_path / "lift.json"
+    code = main(["lift", "--instance", path, "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert "error: audit seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_lift_at_very_large_p_exits_with_an_error(tmp_path, capsys):
     inst = generate_instance(17, 5, p=1100.0, k_ordered=True)
     path = tmp_path / "inst.json"

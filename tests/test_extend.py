@@ -886,16 +886,56 @@ def test_audit_sample_counts_are_checked_up_front():
             check_sublinear(result.majorant, sample_count=count)
 
 
+@pytest.mark.parametrize(
+    "samples, seed, message",
+    [
+        (2000, -1, "audit seed must be nonnegative, got -1"),
+        (2000, True, "audit seed must be an integer, got True"),
+        (2000, 1.0, "audit seed must be an integer, got 1.0"),
+        (2000, "3", "audit seed must be an integer, got '3'"),
+        (2.5, 0, "audit sample count must be an integer, got 2.5"),
+        (False, 0, "audit sample count must be an integer, got False"),
+    ],
+)
+def test_audit_budgets_are_validated_before_any_work(monkeypatch, samples, seed, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the audit budget was checked")
+
+    couple = base_couple(2)
+    f, g = np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    result = lift_operator(couple, f, g, 2.0, audit_samples=1)
+    conv = convexify_couple(couple, 2.0)
+    for name in ("k_order_failure", "construct_positive_operator", "_audit_samples"):
+        monkeypatch.setattr(extend, name, no_work)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        lift_operator(couple, f, g, 2.0, audit_samples=samples, seed=seed)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        verify_lift(result, result.majorant, f, g, conv, samples=samples, seed=seed)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check_sublinear(result.majorant, sample_count=samples, seed=seed)
+
+
+def test_numpy_integer_audit_budgets_are_accepted():
+    couple = base_couple(2)
+    f, g = np.array([2.0, 0.0]), np.array([1.0, 1.0])
+    got = lift_operator(couple, f, g, 2.0, audit_samples=np.int64(500), seed=np.uint8(3))
+    plain = lift_operator(couple, f, g, 2.0, audit_samples=500, seed=3)
+    assert got.norm_sample_ratios == plain.norm_sample_ratios
+    assert got.domination_violations == plain.domination_violations == 0
+
+
 # ---------------------------------------------------------------------------
 # the blocked audit
 # ---------------------------------------------------------------------------
 
 
 def _one_shot_draw(samples, n, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.choice([-1.0, 1.0], size=(samples, n)) * 10.0 ** rng.uniform(
-        -2.0, 2.0, size=(samples, n)
-    )
+    """sign(v) * 10^(4|v| - 2) for one (samples, n) uniform draw v on [-1, 1),
+    in the implementation's order: (|v| * 4 ln10 - 2 ln10) is not bit-equal
+    to (4|v| - 2) ln10."""
+    v = np.random.Generator(np.random.SFC64(seed)).uniform(-1.0, 1.0, (samples, n))
+    ln10 = math.log(10.0)
+    return np.copysign(np.exp(np.abs(v) * (4.0 * ln10) - 2.0 * ln10), v)
 
 
 def _one_shot_audit(operator, majorant, f, g, conv, samples, seed):
@@ -926,11 +966,23 @@ def test_audit_blocks_replay_one_choice_and_uniform_draw(monkeypatch, samples, n
     blocks = list(extend._audit_samples(samples, n, seed))
     assert len(blocks) == -(-samples // max(1, extend.AUDIT_BLOCK // n))
     assert np.array_equal(np.concatenate(blocks), expected)
-    # odd-sized blocks carry a half-used 32-bit word from one block to the next
     monkeypatch.setattr(extend, "AUDIT_BLOCK", 5 * n)
     blocks = list(extend._audit_samples(samples, n, seed))
     assert all(b.shape[0] <= 5 for b in blocks)
     assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def test_audit_draw_has_a_fair_sign_independent_of_a_log_uniform_modulus():
+    h = np.concatenate(list(extend._audit_samples(2000, 100, 20)))
+    assert h.shape == (2000, 100)
+    negative = h < 0.0
+    u = np.log10(np.abs(h))
+    assert abs(negative.mean() - 0.5) <= 0.005
+    few_ulps = 4 * np.spacing(2.0)
+    assert -2.0 - few_ulps <= u.min() and u.max() <= 2.0 + few_ulps
+    assert abs(u.mean()) <= 0.015
+    assert abs(u.var() - 4.0 / 3.0) <= 0.015
+    assert abs(u[negative].mean() - u[~negative].mean()) <= 0.02
 
 
 # n = 63, 64 and 65 straddle extend._COLUMN_MAX_BELOW, where the row maxima
@@ -970,7 +1022,7 @@ def test_verify_lift_equals_the_one_shot_audit(n, p):
     assert got == expected
 
 
-@pytest.mark.parametrize("p, count", [(120.0, 8), (160.0, 1112)])
+@pytest.mark.parametrize("p, count", [(120.0, 13), (160.0, 1130)])
 def test_large_p_audit_counts_equal_the_one_shot_audit(p, count):
     # the standing large-p defect: H(h) underflows or overflows in
     # SublinearMajorant.values, so the audit counts false violations; this
