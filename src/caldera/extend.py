@@ -29,6 +29,7 @@ from .lattice import (
     INF,
     Couple,
     LatticeVector,
+    check_audit_budget,
     convexify_couple,
     dual_p_norm,
     effective_exponent,
@@ -159,7 +160,7 @@ def check_sublinear(
     Sample k is row k = (h1 | h2 | c) of the blocked ``_audit_samples`` draw.
     It is bad unless its four H values are finite and both properties hold.
     """
-    _check_audit_budget(sample_count, seed)
+    check_audit_budget(sample_count, seed)
     n = majorant.operator.space.n
     violations: list = []
     start = 0
@@ -320,18 +321,6 @@ class VerifyReport:
     seed: int
 
 
-def _check_audit_budget(samples, seed) -> None:
-    """A DomainError unless the sample count is an integer >= 1 and the seed
-    an integer >= 0; bools are refused.  Callers check before any work."""
-    for name, value in (("audit sample count", samples), ("audit seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if samples < 1:
-        raise DomainError(f"need at least one audit sample, got {samples}")
-    if seed < 0:
-        raise DomainError(f"audit seed must be nonnegative, got {seed}")
-
-
 def _audit_samples(samples: int, n: int, seed: int):
     """The (samples, n) draw ``signed_log_uniform`` of Generator(SFC64(seed))
     in blocks of AUDIT_BLOCK entries, one 64-bit word each: one draw's rows."""
@@ -421,7 +410,7 @@ def lift_operator(
     alpha = 2^(p-1) is solved for a positive substochastic T and L is built
     and certified by ``holder_rows``.
     """
-    _check_audit_budget(audit_samples, seed)
+    check_audit_budget(audit_samples, seed)
     if not is_l1_linf(couple) or not couple.space.is_uniform():
         raise DomainError("lifting requires the unweighted (l1, sup) base couple")
     if method not in ("holder", "greedy"):
@@ -483,7 +472,7 @@ def verify_lift(
     """Recompute every lift certificate from scratch on a fresh sample set,
     on ``couple_p``, the lift's couple convexified at ``result.p``, against
     ``majorant``, which must be the lift's H: same size, p and alpha."""
-    _check_audit_budget(samples, seed)
+    check_audit_budget(samples, seed)
     space = result.operator.space
     if couple_p.space.n != space.n:
         raise DimensionMismatch(f"couple has {couple_p.space.n} atoms, lift {space.n}")

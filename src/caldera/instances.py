@@ -5,7 +5,8 @@ instance payload draws come from a Philox generator keyed by
 (seed << 64) | (2 * index), and orchestration-level draws (sizes, suite
 parameters) use the odd companion key (seed << 64) | (2 * index + 1).  The
 same (seed, index) pair therefore always yields the same instance no matter
-which machine or process produced it.
+which machine or process produced it.  Seeds must be integers in [0, 2^64)
+and indices in [0, 2^63), so that no two pairs share a key.
 """
 
 from __future__ import annotations
@@ -31,14 +32,23 @@ LOG_RANGE = (-2.0, 2.0)
 ORDERED_RETRIES = 8
 
 
+def _philox_key(seed, index, stream: int) -> int:
+    """The key (seed << 64) | (2 index + stream), for integers 0 <= seed < 2^64
+    and 0 <= index < 2^63; wider values would alias another (seed, index)."""
+    for name, value, bits in (("instance seed", seed, 64), ("instance index", index, 63)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= value < 2**bits:
+            raise DomainError(f"{name} must lie in [0, 2^{bits}), got {value}")
+    return (int(seed) << 64) | (2 * int(index) + stream)
+
+
 def payload_rng(seed: int, index: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | (2 * int(index))))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, index, 0)))
 
 
 def orchestration_rng(seed: int, index: int = 0) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=(int(seed) << 64) | (2 * int(index) + 1))
-    )
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, index, 1)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +120,9 @@ def generate_instance(
                 "could not verify ordering of a generated pair; the averaging "
                 "construction should guarantee it"
             )
-    return Instance(space=space, couple=couple, f=f, g=g, p=p, seed=seed, index=index)
+    return Instance(
+        space=space, couple=couple, f=f, g=g, p=p, seed=int(seed), index=int(index)
+    )
 
 
 # ---------------------------------------------------------------------------

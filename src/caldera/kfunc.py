@@ -17,9 +17,12 @@ Three computational routes live here:
 * D as the best of the 2(n+1) disjoint splits that put the bottom k or the
   top n - k moduli in slot 0, exact on every couple.
 
-Profiles take one vector or an (m, n) stack.  The truncation-level solve is
-one batched Newton loop over every (vector, t) problem still open, the
-multiplier solve one loop over the t-grid of each row.
+One table, ``_FUNCTIONALS``, maps "K" and "D" to the function that picks
+the route; single points are its one-point grid, and profiles and the
+sandwich checks select by kind through it.  Profiles take one vector or an
+(m, n) stack.  The truncation-level solve is one batched Newton loop over
+every (vector, t) problem still open, the multiplier solve one loop over the
+t-grid of each row.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  The K-ordering
@@ -47,6 +50,7 @@ from .lattice import (
     Couple,
     LatticeVector,
     MeasureSpace,
+    WeightedP,
     convexify_couple,
     dual_p_norm,
     effective_exponent,
@@ -99,8 +103,10 @@ def parse_t_grid(spec: str) -> tuple:
 
 
 def _positive_t(t) -> float:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be a positive real, got {t}")
+    # bools are ints to Python, and numpy scalars need not subclass int/float
+    real = isinstance(t, (int, float, np.integer, np.floating)) and not isinstance(t, bool)
+    if not (real and math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be a positive real, got {t!r}")
     return float(t)
 
 
@@ -149,25 +155,6 @@ def _split_from_modulus(space: MeasureSpace, fv: np.ndarray, u: np.ndarray) -> D
     a0 = np.sign(fv) * u
     a1 = fv - a0
     return Decomposition(a0=vector(space, a0), a1=vector(space, a1))
-
-
-# ---------------------------------------------------------------------------
-# exact route on (l1, linf)
-# ---------------------------------------------------------------------------
-
-
-def k_exact_l1_linf(space: MeasureSpace, f, t: float):
-    """K(t, f) on the weighted (l1, linf) couple, with an optimal splitting.
-
-    Equals the integral over [0, t] of the weighted decreasing
-    rearrangement of |f|; the optimal splitting truncates |f| at the level
-    the rearrangement takes at position t.
-    """
-    ts = np.array([_positive_t(t)])
-    fv = values_of(f, space.n)
-    values, levels, _ = rearrangement_integral(space.weights, np.abs(fv), ts)
-    u = np.maximum(np.abs(fv) - float(levels[0]), 0.0)
-    return float(values[0]), _split_from_modulus(space, fv, u)
 
 
 # ---------------------------------------------------------------------------
@@ -411,34 +398,39 @@ def _exponents(couple: Couple):
     return effective_exponent(couple.norm0), effective_exponent(couple.norm1)
 
 
-def _k_numeric_full(couple: Couple, f, t: float):
-    t = _positive_t(t)
-    space = couple.space
-    fv = values_of(f, space.n)
-    w = space.weights
-    p0, p1 = _exponents(couple)
-    a, ts = np.abs(fv), np.array([t])
-    if p1 == INF:
-        vals, levels, _, gaps = _k_truncation(w, a, p0, ts)
-        u = np.maximum(a - float(levels[0]), 0.0)
-    elif p0 == INF:
-        swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
-        val, dec, gap = _k_numeric_full(swapped, fv, 1.0 / t)
-        return t * val, Decomposition(a0=dec.a1, a1=dec.a0), t * gap
-    else:
-        vals, _, _, gaps, (u,) = _k_finite(w, a, p0, p1, ts)
-    return float(vals[0]), _split_from_modulus(space, fv, u), float(gaps[0])
+def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray, solve: bool = False):
+    """K over a grid, picking the fastest applicable route.
 
-
-def k_numeric(couple: Couple, f, t: float):
-    """Numerical K(t, f) with an explicit near-optimal splitting.
-
-    The value is within the solver's relative-gap contract of the infimum,
-    with a splitting that attains it: the truncation-level solve on a couple
-    with a sup side, (l1, sup) included, the multiplier solve otherwise.
+    (l1, sup) takes the closed form, or the truncation-level solve when
+    ``solve``; a sup side otherwise takes that solve, a sup first side the
+    swap K(t) = t K(1/t) with slots exchanged, and finite pairs the
+    multiplier solve.  ``fv`` is one vector or an (m, n) stack: the
+    truncation solve takes the whole stack, the other routes one row at a
+    time, each over the whole grid.  Returns the table's five arrays.
     """
-    value, dec, _ = _k_numeric_full(couple, f, t)
-    return value, dec
+    p0, p1 = _exponents(couple)
+    w, a = couple.space.weights, np.abs(fv)
+    if p1 == INF and (p0 != 1.0 or solve):
+        vals, levels, a0n, gaps = _k_truncation(w, a, p0, ts)
+    elif p0 == INF:
+        swapped = Couple(space=couple.space, norm0=couple.norm1, norm1=couple.norm0)
+        vals, a0n, a1n, gaps, u = _k_values(swapped, fv, (1.0 / ts)[::-1], solve)
+        return (
+            ts * vals[..., ::-1],
+            a1n[..., ::-1].copy(),
+            a0n[..., ::-1],
+            ts * gaps[..., ::-1],
+            a[..., None, :] - u[..., ::-1, :],
+        )
+    elif fv.ndim == 2:
+        return _by_rows(lambda row: _k_values(couple, row, ts, solve), fv)
+    elif p1 == INF:
+        vals, levels, a0n = rearrangement_integral(w, a, ts)
+        gaps = np.zeros_like(ts)
+    else:
+        return _k_finite(w, a, p0, p1, ts)
+    # a sup side: slot 0 keeps the excess over the level
+    return vals, a0n, levels, gaps, np.maximum(a[..., None, :] - levels[..., None], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +462,8 @@ def _d_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     lambda in [0, 1]^n and depends on it through two linear forms, so it is
     minimal at a vertex of their 2-d image, which puts the atoms with
     c1 |f_i|^(p0 - p1) > c2 on one side.  Either way slot 0 holds the bottom
-    k or the top n - k moduli for some k.  Returns values, split norms and,
-    per t, the mask of atoms in slot 0; an (m, n) stack takes one row at a
-    time.
+    k or the top n - k moduli for some k.  Returns the table's five arrays,
+    with zero gaps; an (m, n) stack takes one row at a time.
     """
     if fv.ndim == 2:
         return _by_rows(lambda row: _d_values(couple, row, ts), fv)
@@ -491,23 +482,53 @@ def _d_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     rank[order] = np.arange(a.size)
     cut = (best % (a.size + 1))[:, None]
     keep = np.where((best <= a.size)[:, None], rank < cut, rank >= cut)
-    return a0n + ts * a1n, a0n, a1n, keep
+    vals = a0n + ts * a1n
+    return vals, a0n, a1n, np.zeros_like(vals), np.where(keep, a, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation table: single points and profiles
+# ---------------------------------------------------------------------------
+
+# kind -> f(couple, fv, ts) giving values, slot-0 and slot-1 norms, certified
+# gaps (zero for D and the closed form), each fv.shape[:-1] + ts.shape, and
+# the slot-0 moduli per t, with a trailing n
+_FUNCTIONALS = {"K": _k_values, "D": _d_values}
+
+
+def _at_t(kind: str, couple: Couple, f, t, **route):
+    """Value, split and certified gap of K or D at one t: the table's entry
+    on the one-point grid [t]."""
+    t = _positive_t(t)
+    fv = values_of(f, couple.space.n)
+    vals, _, _, gaps, u = _FUNCTIONALS[kind](couple, fv, np.array([t]), **route)
+    return float(vals[0]), _split_from_modulus(couple.space, fv, u[0]), float(gaps[0])
+
+
+def k_exact_l1_linf(space: MeasureSpace, f, t: float):
+    """K(t, f) on the weighted (l1, linf) couple, with an optimal splitting.
+
+    Equals the integral over [0, t] of the weighted decreasing
+    rearrangement of |f|; the optimal splitting truncates |f| at the level
+    the rearrangement takes at position t.
+    """
+    couple = Couple(space=space, norm0=WeightedP(1.0), norm1=WeightedP(INF))
+    return _at_t("K", couple, f, t)[:2]
+
+
+def k_numeric(couple: Couple, f, t: float):
+    """Numerical K(t, f) with an explicit near-optimal splitting.
+
+    The value is within the solver's relative-gap contract of the infimum,
+    with a splitting that attains it: the truncation-level solve on a couple
+    with a sup side, (l1, sup) included, the multiplier solve otherwise.
+    """
+    return _at_t("K", couple, f, t, solve=True)[:2]
 
 
 def d_exact(couple: Couple, f, t: float):
     """Exact D(t, f) with an optimal disjoint splitting."""
-    t = _positive_t(t)
-    fv = values_of(f, couple.space.n)
-    values, _, _, keep = _d_values(couple, fv, np.array([t]))
-    a0 = np.where(keep[0], fv, 0.0)
-    a1 = np.where(keep[0], 0.0, fv)
-    dec = Decomposition(a0=vector(couple.space, a0), a1=vector(couple.space, a1))
-    return float(values[0]), dec
-
-
-# ---------------------------------------------------------------------------
-# profiles
-# ---------------------------------------------------------------------------
+    return _at_t("D", couple, f, t)[:2]
 
 
 @dataclass(frozen=True)
@@ -543,38 +564,6 @@ def _validate_profile(prof: KProfile):
                 raise InternalConsistencyError("K profile fails concavity")
 
 
-def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
-    """K over a grid, picking the fastest applicable route.
-
-    (l1, sup) takes the closed form, a sup side otherwise the truncation-level
-    solve, and finite pairs the multiplier solve.  ``fv`` is one vector or an
-    (m, n) stack: the truncation solve takes the whole stack, the other
-    routes one row at a time, each over the whole grid.  Returns values,
-    split norms and certified gaps (zero for the closed form).
-    """
-    space = couple.space
-    p0, p1 = _exponents(couple)
-    w = space.weights
-    if p1 == INF and p0 != 1.0:
-        vals, levels, a0n, gaps = _k_truncation(w, np.abs(fv), p0, ts)
-        return vals, a0n, levels, gaps
-    if p0 == INF:
-        swapped = Couple(space=space, norm0=couple.norm1, norm1=couple.norm0)
-        vals, a0n, a1n, gaps = _k_values(swapped, fv, (1.0 / ts)[::-1])
-        return (
-            ts * vals[..., ::-1],
-            a1n[..., ::-1].copy(),
-            a0n[..., ::-1],
-            ts * gaps[..., ::-1],
-        )
-    if fv.ndim == 2:
-        return _by_rows(lambda row: _k_values(couple, row, ts), fv)
-    if p1 == INF:
-        vals, levels, a0n = rearrangement_integral(w, np.abs(fv), ts)
-        return vals, a0n, levels, np.zeros_like(ts)
-    return _k_finite(w, np.abs(fv), p0, p1, ts)[:4]
-
-
 def _vectors_of(f, n: int) -> np.ndarray:
     """One coerced vector, or an (m, n) stack coerced row by row."""
     if np.ndim(f) != 2:
@@ -584,26 +573,21 @@ def _vectors_of(f, n: int) -> np.ndarray:
     return np.stack([values_of(row, n) for row in f])
 
 
-def profile(kind: str, couple: Couple, f, t_grid, validate: bool = True) -> KProfile:
+def profile(kind: str, couple: Couple, f, t_grid) -> KProfile:
     """Evaluate K or D over a grid and check the shape invariants.
 
     ``f`` is one vector, giving arrays over the grid, or an (m, n) stack,
     giving (m, T) arrays whose row i belongs to f[i]; every row is validated.
     """
-    if kind not in ("K", "D"):
+    if kind not in _FUNCTIONALS:
         raise DomainError(f"profile kind must be 'K' or 'D', got {kind!r}")
     ts = _as_grid(t_grid)
     fv = _vectors_of(f, couple.space.n)
-    if kind == "K":
-        vals, a0n, a1n, gaps = _k_values(couple, fv, ts)
-    else:
-        vals, a0n, a1n, _ = _d_values(couple, fv, ts)
-        gaps = np.zeros_like(vals)
+    vals, a0n, a1n, gaps, _ = _FUNCTIONALS[kind](couple, fv, ts)
     prof = KProfile(
         kind=kind, t_grid=ts, values=vals, a0_norms=a0n, a1_norms=a1n, gaps=gaps
     )
-    if validate:
-        _validate_profile(prof)
+    _validate_profile(prof)
     return prof
 
 
@@ -626,10 +610,10 @@ class SandwichReport:
 
 def check_k_d_sandwich(couple: Couple, f, t_grid=None):
     ts = _as_grid(t_grid)
-    kprof = profile("K", couple, f, ts, validate=False)
-    dprof = profile("D", couple, f, ts, validate=False)
-    kv, dv = kprof.values, dprof.values
-    slack = SANDWICH_TOL * np.maximum(kv, 1e-300) + kprof.gaps
+    fv = values_of(f, couple.space.n)
+    kv, _, _, gaps, _ = _FUNCTIONALS["K"](couple, fv, ts)
+    dv = _FUNCTIONALS["D"](couple, fv, ts)[0]
+    slack = SANDWICH_TOL * np.maximum(kv, 1e-300) + gaps
     violations = []
     for i, t in enumerate(ts):
         if dv[i] < kv[i] - slack[i]:
@@ -681,14 +665,8 @@ def _power_sandwich(kind, couple, f, p, t_grid):
     powered = np.abs(fv) ** p
     conv = convexify_couple(couple, p)
     ts_root = ts ** (1.0 / p)
-    if kind == "D":
-        base_vals = _d_values(couple, powered, ts)[0]
-        conv_vals = _d_values(conv, fv, ts_root)[0]
-        base_gap = np.zeros_like(ts)
-        conv_gap = np.zeros_like(ts)
-    else:
-        base_vals, _, _, base_gap = _k_values(couple, powered, ts)
-        conv_vals, _, _, conv_gap = _k_values(conv, fv, ts_root)
+    base_vals, _, _, base_gap, _ = _FUNCTIONALS[kind](couple, powered, ts)
+    conv_vals, _, _, conv_gap, _ = _FUNCTIONALS[kind](conv, fv, ts_root)
     lower = base_vals ** (1.0 / p)
     middle = conv_vals
     bound = 2.0 ** (1.0 - 1.0 / p)

@@ -192,6 +192,18 @@ def signed_log_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return np.copysign(h, v, out=h)
 
 
+def check_audit_budget(samples, seed) -> None:
+    """A DomainError unless the sample count is an integer >= 1 and the seed
+    an integer >= 0; bools are refused.  Callers check before any work."""
+    for name, value in (("audit sample count", samples), ("audit seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    if samples < 1:
+        raise DomainError(f"need at least one audit sample, got {samples}")
+    if seed < 0:
+        raise DomainError(f"audit seed must be nonnegative, got {seed}")
+
+
 def norm(spec: NormSpec, f: LatticeVector) -> float:
     """Evaluate a norm specification on a vector."""
     p = effective_exponent(spec)

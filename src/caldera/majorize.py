@@ -26,7 +26,14 @@ from .errors import (
     DomainError,
     NumericalFailure,
 )
-from .lattice import MeasureSpace, NormSpec, norm_values, signed_log_uniform, values_of
+from .lattice import (
+    MeasureSpace,
+    NormSpec,
+    check_audit_budget,
+    norm_values,
+    signed_log_uniform,
+    values_of,
+)
 
 MAX_OPERATOR_SIZE = 256
 
@@ -343,8 +350,7 @@ def sample_operator_norm(
     op: MatrixOperator, spec: NormSpec, trials: int = 200, seed: int = 0
 ) -> float:
     """Sampled lower bound for the operator norm under a lattice norm."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    check_audit_budget(trials, seed)
     rng = np.random.Generator(np.random.SFC64(int(seed)))
     hs = signed_log_uniform(rng, (trials, op.space.n))
     num = norm_values(spec, op.space, hs @ op.entries.T)

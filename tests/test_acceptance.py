@@ -7,6 +7,7 @@ are pinned here on purpose; loosening them is a code change, not a rerun.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -235,6 +236,27 @@ def test_criterion_6_end_to_end_lift(criterion_report):
     assert elapsed < 300.0
 
 
+def _holder_rows_by_fsum(result, f, g):
+    """The forced Holder rows from the lift's T, each sum by ``math.fsum``:
+    L_ij = target_i alpha T_ij |f_j|^(p-1) sgn f_j / sum_k alpha T_ik |f_k|^p,
+    target_i = g_i clamped to the attainable bound denom_i^(1/p); a row with
+    g_i = 0 is zero."""
+    p, alpha = result.p, result.alpha
+    rows = np.zeros((len(g), len(f)))
+    for i, (t_row, g_i) in enumerate(zip(result.majorant.operator.entries, g)):
+        if g_i == 0.0:
+            continue
+        w = [alpha * float(x) for x in t_row]
+        denom = math.fsum(w_j * abs(f_j) ** p for w_j, f_j in zip(w, f))
+        bound = denom ** (1.0 / p)
+        target = math.copysign(bound, g_i) if abs(g_i) > bound else float(g_i)
+        for j, f_j in enumerate(f):
+            if f_j != 0.0:
+                slope = abs(f_j) ** (p - 1.0) * math.copysign(1.0, f_j)
+                rows[i, j] = target * w[j] * slope / denom
+    return rows
+
+
 def test_criterion_7_route_agreement(criterion_report):
     start = time.perf_counter()
     # solver versus closed form on the base couple
@@ -250,6 +272,7 @@ def test_criterion_7_route_agreement(criterion_report):
     # the two extension methods on shared instances
     cert_failures = 0
     worst_span_gap = 0.0
+    worst_oracle = 0.0
     sizes = _sizes(703, 50, 1, 12)
     for i in range(50):
         orch = orchestration_rng(703, i)
@@ -269,21 +292,32 @@ def test_criterion_7_route_agreement(criterion_report):
             ):
                 cert_failures += 1
             images.append(result.operator.apply(inst.f))
+            # an independent route: the rows rebuilt from T with exact sums
+            oracle = _holder_rows_by_fsum(result, inst.f, inst.g)
+            err = np.abs(result.operator.entries - oracle) / np.maximum(np.abs(oracle), 1e-300)
+            worst_oracle = max(worst_oracle, float(np.max(err)))
         gap = float(
             np.max(np.abs(images[0] - images[1])) / (1.0 + np.max(np.abs(inst.g)))
         )
         worst_span_gap = max(worst_span_gap, gap)
     elapsed = time.perf_counter() - start
-    ok = worst_rel <= 1e-6 and cert_failures == 0 and worst_span_gap <= 1e-10
+    ok = (
+        worst_rel <= 1e-6
+        and cert_failures == 0
+        and worst_span_gap <= 1e-10
+        and worst_oracle <= 1e-12
+    )
     criterion_report(
         f"criterion 7 independent-route agreement: {'PASS' if ok else 'FAIL'} "
         f"(solver vs closed form max rel {worst_rel:.2e} over 1000 pairs; "
         f"method certificate failures {cert_failures}; max span gap "
-        f"{worst_span_gap:.2e}; {elapsed:.1f}s)"
+        f"{worst_span_gap:.2e}; lift vs fsum Holder rows max rel "
+        f"{worst_oracle:.2e}; {elapsed:.1f}s)"
     )
     assert worst_rel <= 1e-6
     assert cert_failures == 0
     assert worst_span_gap <= 1e-10
+    assert worst_oracle <= 1e-12
 
 
 def test_criterion_8_lub_identities(criterion_report):

@@ -1,8 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+top-level definition is referenced.
 
 No linter ships with the package, so the standard library's ``ast`` finds
 imported names that never appear in a module's body.  Names listed in a
-module's ``__all__`` count as used: the package re-exports them.
+module's ``__all__`` count as used: the package re-exports them.  A top-level
+function or class of the package must be referenced outside its own body,
+in the package, its tests or the benchmark, so a dispatch or helper that a
+refactor leaves behind fails the suite.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "caldera"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "caldera"
 
 # (module, name) imported without a use, each with the reason it stays
 ALLOWED = {
@@ -49,3 +54,69 @@ def test_modules_use_every_name_they_import():
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import math\nimport numpy as np\nfrom os import path, sep\nnp.log(sep)\n")
     assert _unused_imports(tree) == {"math", "path"}
+
+
+def _definitions(tree: ast.Module) -> set:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def _references(tree: ast.Module) -> set:
+    """(name, top-level definition it sits in, or None) for every name, attribute,
+    imported name and string constant; strings cover ``__all__`` and setattr."""
+    refs = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                refs.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.add((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                refs.add((node.name.split(".")[-1], owner))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.add((node.value, owner))
+    return refs
+
+
+def _dead_definitions(sources: dict, package: set) -> set:
+    """(module, name) of each top-level definition in a ``package`` module
+    that no source references outside the definition's own body."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    dead = set()
+    for path in package:
+        for name in _definitions(trees[path]):
+            used = any(
+                ref == name and not (other == path and owner == name)
+                for other, found in refs.items()
+                for ref, owner in found
+            )
+            if not used:
+                dead.add((Path(path).stem, name))
+    return dead
+
+
+def test_every_top_level_definition_is_referenced():
+    package = {str(p) for p in SRC.glob("*.py")}
+    sources = {
+        str(p): p.read_text()
+        for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for p in sorted(folder.glob("*.py"))
+    }
+    assert _dead_definitions(sources, package) == set()
+
+
+def test_the_check_sees_a_dead_definition():
+    sources = {
+        "pkg.py": "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Dead:\n    pass\n\n"
+        "def patched():\n    pass\n",
+        "test_pkg.py": "import pkg\nsetattr(pkg, 'patched', None)\npkg.used()\n",
+    }
+    dead = _dead_definitions(sources, {"pkg.py"})
+    assert dead == {("pkg", "recursive"), ("pkg", "Dead")}

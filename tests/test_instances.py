@@ -17,7 +17,12 @@ from caldera import (
     load_instance,
     save_instance,
 )
-from caldera.instances import norm_spec_from_json, norm_spec_to_json
+from caldera.instances import (
+    norm_spec_from_json,
+    norm_spec_to_json,
+    orchestration_rng,
+    payload_rng,
+)
 from caldera.kfunc import k_order_dominates
 
 
@@ -33,6 +38,34 @@ def test_different_index_gives_different_draws():
     a = generate_instance(7, 6, index=0)
     b = generate_instance(7, 6, index=1)
     assert not np.array_equal(a.f, b.f)
+
+
+def test_seeds_and_indices_are_validated_so_no_two_pairs_share_a_stream():
+    seed_range, index_range = "seed must lie in [0, 2^64)", "index must lie in [0, 2^63)"
+    for seed, index, message in (
+        (-1, 0, f"instance {seed_range}, got -1"),
+        (2**64, 0, f"instance {seed_range}, got {2**64}"),
+        (2.5, 0, "instance seed must be an integer, got 2.5"),
+        (True, 0, "instance seed must be an integer, got True"),
+        # index 2^63 would alias seed 1, index 0
+        (0, 2**63, f"instance {index_range}, got {2**63}"),
+        (0, -1, f"instance {index_range}, got -1"),
+        (0, 1.0, "instance index must be an integer, got 1.0"),
+        (0, False, "instance index must be an integer, got False"),
+    ):
+        with pytest.raises(DomainError) as info:
+            generate_instance(seed, 4, index=index)
+        assert str(info.value) == message
+    for rng in (payload_rng, orchestration_rng):
+        with pytest.raises(DomainError, match="instance index"):
+            rng(1, 2**63)
+    # the largest valid pair and numpy integers draw as before
+    top = generate_instance(2**64 - 1, 3, index=2**63 - 1)
+    assert np.all(np.isfinite(top.f))
+    same = generate_instance(np.uint64(7), 6, index=np.int32(3))
+    assert np.array_equal(same.f, generate_instance(7, 6, index=3).f)
+    # stored as Python ints, so the instance file can be written
+    assert json.loads(json.dumps(instance_to_json(same)))["seed"] == 7
 
 
 def test_positivity_flag():

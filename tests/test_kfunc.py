@@ -33,7 +33,6 @@ from caldera.kfunc import (
     k_order_dominates,
     parse_t_grid,
     profile,
-    _k_numeric_full,
     _k_truncation,
     _k_values,
 )
@@ -50,6 +49,14 @@ def l1_linf_couple(space):
 
 def _rand_space(rng, n):
     return MeasureSpace(10.0 ** rng.uniform(-1, 1, size=n))
+
+
+def _unvalidated(kind, couple, f, ts):
+    """Values and gaps from the evaluation table, without a profile's checks."""
+    vals, _, _, gaps, _ = kfunc._FUNCTIONALS[kind](
+        couple, np.asarray(f, dtype=float), np.asarray(ts, dtype=float)
+    )
+    return vals, gaps
 
 
 def _rand_f(rng, n, scale=2.0, signed=True):
@@ -189,6 +196,24 @@ def test_k_exact_rejects_bad_t():
             k_exact_l1_linf(sp, [1.0, 2.0], t)
 
 
+def test_single_t_rejects_bools_and_accepts_numpy_scalars():
+    sp = _uniform(3)
+    couple = l1_linf_couple(sp)
+    f = [1.0, 2.0, 3.0]
+    single_points = {
+        "k_numeric": lambda t: k_numeric(couple, f, t),
+        "k_exact_l1_linf": lambda t: k_exact_l1_linf(sp, f, t),
+        "d_exact": lambda t: d_exact(couple, f, t),
+    }
+    for name, at in single_points.items():
+        for t in (True, False, np.bool_(True)):
+            with pytest.raises(DomainError, match="^t must be a positive real, got "):
+                at(t)
+        expected = at(2.0)[0]
+        for t in (2, np.int64(2), np.uint8(2), np.float32(2.0), np.float64(2.0)):
+            assert at(t)[0] == expected, (name, t)
+
+
 def test_k_exact_matches_truncation_oracle():
     rng = np.random.default_rng(101)
     for _ in range(60):
@@ -311,7 +336,7 @@ def test_k_numeric_certificate_bounds_d_exact():
         )
         f = _rand_f(rng, n)
         t = float(10.0 ** rng.uniform(-2, 2))
-        value, _, gap = _k_numeric_full(couple, f, t)
+        value, _, gap = kfunc._at_t("K", couple, f, t, solve=True)
         dval, _ = d_exact(couple, f, t)
         assert value - gap <= dval * (1 + 1e-9) + 1e-12
 
@@ -604,7 +629,7 @@ def test_finite_pair_matches_box_oracle():
         couple = replace(couple, space=MeasureSpace(w))
         p0, p1 = couple.norm0.p, couple.norm1.p
         ts = np.sort(10.0 ** rng.uniform(-3, 3, size=3))
-        vals, _, _, gaps = _k_values(couple, v, ts)
+        vals, _, _, gaps, _ = _k_values(couple, v, ts)
         for t, value, gap in zip(ts, vals, gaps):
             expected = oracle_k_box(w, v, p0, p1, t)
             # no value above a feasible split, no certified bound above the minimum
@@ -633,10 +658,10 @@ def test_finite_pair_closed_forms():
         t_lo = 1.0 / float(dual_p_norm(sp.weights, grad1, p0))
         assert t_lo < t_hi
         for t in (t_hi, 2.0 * t_hi, 1e3 * t_hi):
-            value, _, gap = _k_numeric_full(couple, f, t)
+            value, _, gap = kfunc._at_t("K", couple, f, t, solve=True)
             assert value == pytest.approx(n0, rel=1e-15) and gap <= 1e-15 * value
         for t in (t_lo, 0.5 * t_lo, 1e-3 * t_lo):
-            value, _, gap = _k_numeric_full(couple, f, t)
+            value, _, gap = kfunc._at_t("K", couple, f, t, solve=True)
             assert value == pytest.approx(t * n1, rel=1e-15) and gap <= 1e-15 * value
         # one atom: min(w^(1/p0), t w^(1/p1)) |f|
         single = replace(couple, space=MeasureSpace([7.0]))
@@ -651,14 +676,14 @@ def test_finite_pair_k_numeric_splits_and_swap_symmetry():
         couple, a = _finite_pair_draw(rng, i)
         f = a * rng.choice([-1.0, 1.0], size=a.size)
         t = float(10.0 ** rng.uniform(-3, 3))
-        value, dec, gap = _k_numeric_full(couple, f, t)
+        value, dec, gap = kfunc._at_t("K", couple, f, t, solve=True)
         assert check_decomposition(f, dec)
         assert np.all(dec.a0.values * f >= 0.0)
         assert np.all(np.abs(dec.a0.values) <= np.abs(f))
         recombined = norm(couple.norm0, dec.a0) + t * norm(couple.norm1, dec.a1)
         assert recombined == pytest.approx(value, rel=1e-13, abs=1e-300)
         swapped = Couple(space=couple.space, norm0=couple.norm1, norm1=couple.norm0)
-        other, _, other_gap = _k_numeric_full(swapped, f, 1.0 / t)
+        other, _, other_gap = kfunc._at_t("K", swapped, f, 1.0 / t, solve=True)
         assert abs(value - t * other) <= gap + t * other_gap + 4e-16 * value
 
 
@@ -784,8 +809,8 @@ def test_threshold_d_matches_subset_oracle_on_every_exponent_pair():
         couple = Couple(space=sp, norm0=WeightedP(p0), norm1=WeightedP(p1))
         if i % 3 == 0:
             couple = convexify_couple(couple, float(rng.choice([1.5, 2.0, 3.0])))
-        prof = profile("D", couple, f, ts, validate=False)
-        for t, from_profile in zip(ts, prof.values):
+        values, _ = _unvalidated("D", couple, f, ts)
+        for t, from_profile in zip(ts, values):
             expected = oracle_d_subsets(couple, f, t)
             value, dec = d_exact(couple, f, t)
             assert value == pytest.approx(expected, rel=1e-12)
@@ -853,6 +878,30 @@ def test_profile_convexified_couple_uses_truncation_route():
         assert prof.values[i] == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["K", "D"])
+def test_table_moduli_split_f_at_every_grid_point(kind):
+    # the fifth output of the table, per row and t, rebuilds a split whose
+    # norms are the table's own, on every exponent shape and a stack
+    rng = np.random.default_rng(113)
+    ts = np.array([0.01, 0.3, 1.0, 7.0, 200.0])
+    shapes = ((1.0, INF), (INF, 1.0), (2.0, INF), (INF, 3.0), (1.5, 2.5), (2.0, 2.0), (INF, INF))
+    for p0, p1 in shapes:
+        sp = _rand_space(rng, 6)
+        couple = Couple(space=sp, norm0=WeightedP(p0), norm1=WeightedP(p1))
+        stack = np.stack([_rand_f(rng, 6, scale=1.0), _rand_f(rng, 6, scale=1.0)])
+        vals, a0n, a1n, _, u = kfunc._FUNCTIONALS[kind](couple, stack, ts)
+        assert u.shape == (2, ts.size, 6)
+        for r, i in itertools.product(range(2), range(ts.size)):
+            dec = kfunc._split_from_modulus(sp, stack[r], u[r, i])
+            n0, n1 = norm(couple.norm0, dec.a0), norm(couple.norm1, dec.a1)
+            assert check_decomposition(stack[r], dec)
+            assert n0 == pytest.approx(a0n[r, i], rel=1e-12, abs=1e-300), (p0, p1, r, i)
+            assert n1 == pytest.approx(a1n[r, i], rel=1e-12, abs=1e-300), (p0, p1, r, i)
+            assert n0 + ts[i] * n1 == pytest.approx(vals[r, i], rel=1e-12)
+            if kind == "D":
+                assert dec.is_disjoint()
+
+
 def test_k_values_takes_the_closed_form_on_l1_linf():
     rng = np.random.default_rng(43)
     ts = default_t_grid()
@@ -860,14 +909,14 @@ def test_k_values_takes_the_closed_form_on_l1_linf():
         sp = _rand_space(rng, n)
         f = _rand_f(rng, n)
         f[0] = 0.0
-        vals, a0n, a1n, gaps = _k_values(l1_linf_couple(sp), f, ts)
+        vals, a0n, a1n, gaps, _ = _k_values(l1_linf_couple(sp), f, ts)
         assert np.all(gaps == 0.0)
         for i, t in enumerate(ts):
             assert vals[i] == k_exact_l1_linf(sp, f, float(t))[0]
         assert np.allclose(a0n + ts * a1n, vals, rtol=1e-12)
         # (sup, l1) reaches the same closed form through K(t) = t K(1/t)
         swapped = Couple(space=sp, norm0=WeightedP(INF), norm1=WeightedP(1.0))
-        svals, _, _, sgaps = _k_values(swapped, f, ts)
+        svals, _, _, sgaps, _ = _k_values(swapped, f, ts)
         assert np.all(sgaps == 0.0)
         expected = [t * k_exact_l1_linf(sp, f, 1.0 / float(t))[0] for t in ts]
         assert np.allclose(svals, expected, rtol=1e-12)
@@ -940,7 +989,7 @@ def test_an_overflowing_profile_is_a_domain_error_naming_the_first_t(kind):
     couple, f = _overflowing_pair()
     ts = default_t_grid()
     with np.errstate(all="ignore"):
-        values = profile(kind, couple, f, ts, validate=False).values
+        values, _ = _unvalidated(kind, couple, f, ts)
         first = ts[np.argmax(~np.isfinite(values))]
         with pytest.raises(DomainError, match=f"^{kind} profile overflows") as info:
             profile(kind, couple, f, ts)
@@ -1001,14 +1050,14 @@ def test_k_power_sandwich_reports_a_shrunk_k_as_a_violation(monkeypatch):
     k_values = kfunc._k_values
 
     def shrunk(c, fv, ts):
-        vals, a0, a1, gaps = k_values(c, fv, ts)
+        vals, a0, a1, gaps, u = k_values(c, fv, ts)
         if c.norm0 != couple.norm0:
             vals = vals * (1.0 - 1e-7)
-        return vals, a0, a1, gaps
+        return vals, a0, a1, gaps, u
 
     honest = check_k_power_sandwich(couple, [5.0, 3.0, 2.0, 1.0, 0.5], 2.0)
     assert honest.ok and honest.violations == () and honest.solver_flags == ()
-    monkeypatch.setattr(kfunc, "_k_values", shrunk)
+    monkeypatch.setitem(kfunc._FUNCTIONALS, "K", shrunk)
     report = check_k_power_sandwich(couple, [5.0, 3.0, 2.0, 1.0, 0.5], 2.0)
     assert not report.ok
     assert len(report.violations) == 55 and report.solver_flags == ()
@@ -1059,10 +1108,10 @@ def test_k_order_matches_prefix_sums_on_uniform_weights():
 
 def _order_by_single_profiles(couple, f, g, ts):
     """The ordering rule on two separate one-vector profiles."""
-    kf = profile("K", couple, f, ts, validate=False)
-    kg = profile("K", couple, g, ts, validate=False)
-    tol = kfunc.ORDER_GRID_SLACK * np.maximum(kf.values, 1e-300) + kf.gaps + kg.gaps
-    return bool(np.all(kg.values <= kf.values + tol))
+    kf, gap_f = _unvalidated("K", couple, f, ts)
+    kg, gap_g = _unvalidated("K", couple, g, ts)
+    tol = kfunc.ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
+    return bool(np.all(kg <= kf + tol))
 
 
 def test_k_order_decisions_match_one_vector_profiles():

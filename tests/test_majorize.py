@@ -366,6 +366,25 @@ def test_sample_operator_norm_lower_bounds_exact():
         assert sampled >= 0.3 * exact
 
 
+def test_sample_operator_norm_validates_its_seed_and_trial_count():
+    op = MatrixOperator(space=_uniform(3), entries=np.eye(3))
+    spec = WeightedP(2.0)
+    for trials, seed, message in (
+        (10, 2.7, "audit seed must be an integer, got 2.7"),
+        (10, True, "audit seed must be an integer, got True"),
+        (10, -1, "audit seed must be nonnegative, got -1"),
+        (2.5, 0, "audit sample count must be an integer, got 2.5"),
+        (True, 0, "audit sample count must be an integer, got True"),
+        (0, 0, "need at least one audit sample, got 0"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sample_operator_norm(op, spec, trials=trials, seed=seed)
+    # numpy integers are integers, and draw what the same Python int draws
+    assert sample_operator_norm(op, spec, trials=np.int64(10), seed=np.uint8(2)) == (
+        sample_operator_norm(op, spec, trials=10, seed=2)
+    )
+
+
 def test_construct_positive_operator_frozen_examples():
     sp3 = _uniform(3)
     result = construct_positive_operator(sp3, [4.0, 0.0, 0.0], [2.0, 2.0, 0.0])
