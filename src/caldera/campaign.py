@@ -27,7 +27,7 @@ from .kfunc import (
     default_t_grid,
     parse_t_grid,
 )
-from .lattice import INF, MeasureSpace, lub, power_vector, vector
+from .lattice import INF, MeasureSpace, lub, power_vector, signed_log_uniform, vector
 from .majorize import MatrixOperator
 
 P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder"})
@@ -166,9 +166,7 @@ def _run_minkowski(config, index, p):
     op = MatrixOperator(
         space=MeasureSpace(np.ones(n)), entries=rng.random((n, n)), positive=True
     )
-    signs = rng.choice([-1.0, 1.0], size=(2, n))
-    mags = 10.0 ** rng.uniform(-2.0, 2.0, size=(2, n))
-    h1, h2 = signs * mags
+    h1, h2 = signed_log_uniform(rng, (2, n))
     report = check_minkowski(op, h1, h2, p_row)
     return n, p_row, None, len(report.violations), None
 

@@ -13,6 +13,16 @@ diag(|f|^(p-1) sgn f) with denom = alpha T |f|^p.  Then Lf = g and
 2^(1-1/p) when alpha = 2^(p-1).  The precondition K(t, g) <= K(t, f) on
 the convexified couple is decided by ``caldera.kfunc.k_order_failure``: the
 exact p-majorization test first, the K grid only when that test fails.
+
+Each lift is certified by a sampled audit (``_audit_lift``): the relative
+residual max|Lf - g| / max|g|, domination |Lh| <= H(h) and the p-norm and
+sup-norm ratios against 2^(1-1/p).  A block of samples takes two n-wide
+powers, which it shares: x = |h|^p gives H(h)^p = T(alpha x) and
+||h||_p^p, and y = |Lh|^p the domination test y <= (1 + slack)^p H^p and
+||Lh||_p^p.  Where a power leaves the normal float range, a cell is decided
+on |Lh| and H = (H^p)^(1/p), and a row by max-scaled p-norms, as before.
+The audit law keeps |h| in [1e-2, 1e2], so |h|^p stays normal for p up to
+about 150 (10^(2p) against the largest float, 1.8e308).
 """
 
 from __future__ import annotations
@@ -58,6 +68,9 @@ AUDIT_BLOCK = 32768
 # 47 us; at n = 64 (512 rows) the copy took 62 us against 29 us, and at
 # n = 256 (128 rows) 65 against 11 us
 _COLUMN_MAX_BELOW = 64
+# the smallest normal float64: a power at or above it keeps full relative
+# precision, one below it may have lost it to underflow
+_TINY = float(np.finfo(float).tiny)
 
 
 def default_alpha(p: float) -> float:
@@ -106,16 +119,21 @@ class SublinearMajorant:
     def row_weights(self, i: int) -> np.ndarray:
         return self.alpha * self.operator.entries[i]
 
-    def values(self, h: np.ndarray) -> np.ndarray:
-        """H(h), reduced over the last axis: one vector or a batch of rows.
+    def powers(self, x: np.ndarray) -> np.ndarray:
+        """H(h)^p = T(alpha x) for the powers x = |h|^p, reduced over the last
+        axis; x is scaled by alpha in place."""
+        x *= self.alpha
+        return x @ self.operator.entries.T
 
-        (alpha |h|^p) T^t and its 1/p-th power are formed in place on the
-        fresh |h| and the product, never on ``h``.
+    def values(self, h: np.ndarray) -> np.ndarray:
+        """H(h), the p-th root of ``powers``: one vector or a batch of rows.
+
+        |h|^p and the root are formed in place on the fresh |h| and the
+        product, never on ``h``.
         """
         x = np.abs(h, dtype=float)
         x **= self.p
-        x *= self.alpha
-        hh = x @ self.operator.entries.T
+        hh = self.powers(x)
         hh **= 1.0 / self.p
         return hh
 
@@ -348,24 +366,24 @@ def _audit_lift(
 ):
     """Residual, domination violations and sampled norm ratios of a lift.
 
+    The residual is max|Lf - g| / max|g|; a zero g needs Lf = 0 exactly.
     ``conv`` is the lift's couple, convexified at the lift's p: the ratios
     are taken in its p-norm and its sup norm.  A sample violates domination
     unless H(h) is finite and |Lh| <= H(h) (1 + DOMINATION_SLACK).  Memory
     does not grow with the sample count: each block of ``_audit_samples`` is
     folded into a running count and running maxima.
 
-    Each block is evaluated in one pass.  |h| and |Lh| are taken once and H
-    is fed the same |h|; each row maximum is taken once and serves both the
-    sup ratio and the scaling of the p-norm (``scaled_p_norm``), on a
-    column-major copy for rows shorter than ``_COLUMN_MAX_BELOW``.  Rows are
-    counted as violations only in a block where some comparison fails.  A
-    block's arrays live only inside ``_audit_block``.
+    A block shares two powers (``_audit_block``): x = |h|^p feeds H(h)^p and
+    ||h||_p^p, and y = |Lh|^p the domination test and ||Lh||_p^p.  A cell or
+    a row whose power is not a normal float is decided on the moduli, as
+    before.  The audit law keeps |h| in [1e-2, 1e2], so |h|^p is normal for
+    p up to about 150, and at the benchmark's p no fallback runs.
     """
     space = operator.space
     p = effective_exponent(conv.norm0)
-    residual = float(
-        np.max(np.abs(operator.apply(f) - g)) / (1.0 + np.max(np.abs(g)))
-    )
+    err = float(np.max(np.abs(operator.apply(f) - g)))
+    scale = float(np.max(np.abs(g)))
+    residual = 0.0 if err == 0.0 else (err / scale if scale > 0.0 else INF)
     viol = 0
     peaks = np.full(2, -np.inf)
     for h in _audit_samples(samples, space.n, seed):
@@ -380,17 +398,80 @@ def _audit_block(
     operator: MatrixOperator, majorant: SublinearMajorant, h: np.ndarray, p: float
 ):
     """Domination violations and the two norm ratios' maxima on one block of
-    the draw.  |h| and |Lh| overwrite the fresh block and the product."""
+    the draw, from two n-wide powers.
+
+    |h| overwrites the fresh block and |Lh| the product; both stay for the
+    row maxima, which serve the sup ratio, and for the fallbacks.  x = |h|^p
+    gives ||h||_p^p as its weighted row sums, then ``SublinearMajorant.powers``
+    scales it into H^p; y = |Lh|^p then overwrites it and gives ||Lh||_p^p.
+    Rows are counted as violations only in a block where some cell fails.
+    """
+    w = operator.space.weights
     alh = h @ operator.entries.T
     np.abs(alh, out=alh)
     ah = np.abs(h, out=h)
-    hh = majorant.values(ah)
-    held = np.isfinite(hh) & (alh <= hh * (1.0 + DOMINATION_SLACK))
-    count = 0 if held.all() else int(np.sum(~np.all(held, axis=1)))
-    w = operator.space.weights
     mh, mlh = _row_max(ah), _row_max(alh)
-    top, bot = scaled_p_norm(w, alh, mlh, p), scaled_p_norm(w, ah, mh, p)
-    return count, [np.max(top / bot), np.max(mlh / mh)]
+    x = ah**p
+    sx = x @ w
+    hp = majorant.powers(x)
+    y = np.power(alh, p, out=x)
+    held = _dominated(alh, y, hp, p)
+    count = 0 if held.all() else int(np.sum(~np.all(held, axis=1)))
+    lp = _p_norm_ratios(w, ah, mh, alh, mlh, sx, y @ w, p)
+    return count, [np.max(lp), np.max(mlh / mh)]
+
+
+def _dominated(alh, y, hp, p: float) -> np.ndarray:
+    """Cells where |Lh| <= H(h)(1 + DOMINATION_SLACK), given alh = |Lh| and
+    the powers y = |Lh|^p and hp = H(h)^p; hp is scaled in place.
+
+    A cell whose hp is a normal float and whose bound
+    hp (1 + DOMINATION_SLACK)^p is finite is tested in the power form
+    y <= bound, where a y that underflows lies below the bound and one that
+    overflows above it.  While every |h|^p is normal (p up to about 150 on
+    the audit law), such an hp is exact to rounding: its terms are
+    nonnegative, and one that underflows is off by at most 2^-1075.  Any
+    other cell, where H^p underflowed and two underflows could pass a real
+    violation, or where H^p or the bound is infinite or NaN, takes the root
+    form of ``_root_held``, which fails closed.
+    """
+    slack = (1.0 + DOMINATION_SLACK) ** p
+    odd = None
+    # the range test runs on hp's extremes, and per cell only when they fail
+    if not (hp.min() >= _TINY and float(hp.max()) * slack < INF):
+        with np.errstate(over="ignore"):
+            odd = ~((hp >= _TINY) & (hp * slack < INF))
+        kept = _root_held(alh[odd], hp[odd], p)
+        hp[odd] = 0.0
+    hp *= slack
+    held = y <= hp
+    if odd is not None:
+        held[odd] = kept
+    return held
+
+
+def _root_held(alh, hp, p: float) -> np.ndarray:
+    """|Lh| <= H (1 + DOMINATION_SLACK) on H = hp^(1/p): false where H is
+    infinite or NaN."""
+    hh = hp ** (1.0 / p)
+    return np.isfinite(hh) & (alh <= hh * (1.0 + DOMINATION_SLACK))
+
+
+def _p_norm_ratios(w, ah, mh, alh, mlh, sx, sy, p: float) -> np.ndarray:
+    """||Lh||_p / ||h||_p per row, sy^(1/p) / sx^(1/p) from the power sums
+    sx = sum w |h|^p and sy = sum w |Lh|^p.  A row where either sum is not a
+    normal float takes ``scaled_p_norm`` on the moduli and their row maxima
+    mh and mlh, the max factored out so that large p stays in range.  The
+    roots come first: sy / sx can underflow where the norms' quotient does
+    not."""
+    normal = (sx >= _TINY) & (sx < INF) & (sy >= _TINY) & (sy < INF)
+    top, bot = sy ** (1.0 / p), sx ** (1.0 / p)
+    r = np.divide(top, bot, out=np.zeros_like(top), where=normal)
+    if not normal.all():
+        odd = ~normal
+        top = scaled_p_norm(w, alh[odd], mlh[odd], p)
+        r[odd] = top / scaled_p_norm(w, ah[odd], mh[odd], p)
+    return r
 
 
 def lift_operator(

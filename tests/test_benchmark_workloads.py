@@ -53,3 +53,25 @@ def test_lift_pools_pass_the_benchmark_correctness_gate(name, monkeypatch, tmp_p
     assert kept
     for key, req in kept.items():
         assert workload.verify(req, results[key]) == "", (req.n, req.p)
+
+
+@pytest.mark.parametrize("name", ["lift-greedy", "lift-holder"])
+def test_lift_pools_take_no_audit_fallback(name, monkeypatch, tmp_path):
+    # the audit law keeps every |h|^p of the benchmark's p in the normal float
+    # range, so no cell takes the root form and no row the max-scaled p-norm;
+    # a change that sends benchmark traffic back through them fails here
+    import caldera.extend as extend
+
+    workload = _load_workloads(monkeypatch).WORKLOADS[name]
+    taken = []
+    for fallback in ("_root_held", "scaled_p_norm"):
+
+        def counted(*args, _exact=getattr(extend, fallback), _name=fallback):
+            taken.append(_name)
+            return _exact(*args)
+
+        monkeypatch.setattr(extend, fallback, counted)
+    pool = workload.setup(1, str(tmp_path))
+    for req in {id(req): req for req in pool}.values():
+        assert workload.check(req, workload.execute(req)) == "", (req.n, req.p)
+    assert not taken, f"{len(taken)} audit fallbacks: {sorted(set(taken))}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -929,6 +930,9 @@ def test_numpy_integer_audit_budgets_are_accepted():
 # ---------------------------------------------------------------------------
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _one_shot_draw(samples, n, seed):
     """sign(v) * 10^(4|v| - 2) for one (samples, n) uniform draw v on [-1, 1),
     in the implementation's order: (|v| * 4 ln10 - 2 ln10) is not bit-equal
@@ -939,22 +943,36 @@ def _one_shot_draw(samples, n, seed):
 
 
 def _one_shot_audit(operator, majorant, f, g, conv, samples, seed):
-    """The audit over one (samples, n) draw: the oracle of the blocked audit."""
+    """The audit over one (samples, n) draw: the oracle of the blocked audit.
+
+    A cell is tested as |Lh|^p <= (1 + slack)^p H^p where H^p is a normal
+    float and the bound finite, else as |Lh| <= H (1 + slack) with H finite;
+    a row's p-norm ratio is (sum |Lh|^p)^(1/p) / (sum |h|^p)^(1/p) where both
+    sums are normal floats, else the ratio of ``norm_values``."""
     space = operator.space
-    residual = float(
-        np.max(np.abs(operator.apply(f) - g)) / (1.0 + np.max(np.abs(g)))
-    )
+    w = space.weights
+    p = majorant.p
+    err = np.max(np.abs(operator.apply(f) - g))
+    scale = np.max(np.abs(g))
+    residual = 0.0 if err == 0.0 else float(err / scale) if scale else math.inf
     h = _one_shot_draw(samples, space.n, seed)
     lh = h @ operator.entries.T
-    hh = majorant.values(h)
-    bad = ~np.isfinite(hh) | ~(np.abs(lh) <= hh * (1.0 + extend.DOMINATION_SLACK))
-    viol = int(np.sum(np.any(bad, axis=1)))
-    ratios = []
-    for spec in (conv.norm0, conv.norm1):
-        top = norm_values(spec, space, lh)
-        bot = norm_values(spec, space, h)
-        ratios.append(float(np.max(top / bot)))
-    return residual, viol, tuple(ratios)
+    ah, alh = np.abs(h), np.abs(lh)
+    with np.errstate(all="ignore"):
+        x, y = ah**p, alh**p
+        sx, sy = x @ w, y @ w
+        hp = majorant.powers(x)
+        bound = hp * (1.0 + extend.DOMINATION_SLACK) ** p
+        hh = hp ** (1.0 / p)
+        by_root = np.isfinite(hh) & (alh <= hh * (1.0 + extend.DOMINATION_SLACK))
+        held = np.where((hp >= _TINY) & (bound < math.inf), y <= bound, by_root)
+        by_sums = sy ** (1.0 / p) / sx ** (1.0 / p)
+    viol = int(np.sum(~np.all(held, axis=1)))
+    normal = (sx >= _TINY) & (sx < math.inf) & (sy >= _TINY) & (sy < math.inf)
+    ratios = [norm_values(spec, space, lh) / norm_values(spec, space, h)
+              for spec in (conv.norm0, conv.norm1)]
+    ratios[0] = np.where(normal, by_sums, ratios[0])
+    return residual, viol, tuple(float(np.max(r)) for r in ratios)
 
 
 @pytest.mark.parametrize(
@@ -1038,6 +1056,88 @@ def test_large_p_audit_counts_equal_the_one_shot_audit(p, count):
     assert got[1] == count
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-9, 1e-150, 1e-160])
+def test_verify_lift_fails_an_all_zero_operator_at_every_scale(s):
+    # the residual is relative, max|Lf - g| / max|g|: an absolute one read s
+    # for L = 0 and passed it below s = 1e-8
+    couple = base_couple(3)
+    f, g = s * np.array([3.0, 2.0, 1.0]), s * np.ones(3)
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=1)
+    zero = dataclasses.replace(
+        lift, operator=MatrixOperator(space=couple.space, entries=np.zeros((3, 3)))
+    )
+    conv = convexify_couple(couple, 2.0)
+    report = verify_lift(zero, lift.majorant, f, g, conv, samples=100)
+    assert report.residual_lf_g == 1.0 and not report.ok
+    # a zero target needs Lf = 0 exactly
+    report = verify_lift(lift, lift.majorant, f, np.zeros(3), conv, samples=100)
+    assert report.residual_lf_g == math.inf and not report.ok
+
+
+def test_a_bogus_operator_with_subnormal_powers_reports_its_violations():
+    # n = 1: H(h) = (2 t h^2)^(1/2) and L = sqrt(2 t) saturate |Lh| = H(h) at
+    # every h, so L scaled by 1 + 1e-6 violates domination at every sample.
+    # t puts H^p = 2 t h^2 and |Lh|^p in [1e-320, 1e-312], all subnormal:
+    # those cells take the root form, which finds the violations wherever
+    # H^p keeps about six digits; the power form found 278 fewer
+    couple = base_couple(1)
+    lift = lift_operator(couple, [2.0], [1.0], 2.0, audit_samples=1)
+    t = 5e-317
+    op = MatrixOperator(space=couple.space, entries=[[t]], positive=True)
+    majorant = SublinearMajorant(operator=op, alpha=lift.alpha, p=2.0)
+    bogus = (1.0 + 1e-6) * math.sqrt(2.0 * t)
+    fake = dataclasses.replace(
+        lift,
+        operator=MatrixOperator(space=couple.space, entries=[[bogus]]),
+        majorant=majorant,
+    )
+    conv = convexify_couple(couple, 2.0)
+    report = verify_lift(fake, majorant, [2.0], [1.0], conv, samples=2000)
+    h = _one_shot_draw(2000, 1, 1)
+    hh = majorant.values(h)
+    assert 0.0 < hh.min() ** 2 and hh.max() ** 2 < _TINY
+    by_root = np.abs(bogus * h) <= hh * (1.0 + extend.DOMINATION_SLACK)
+    assert report.domination_violations == int(np.sum(~by_root)) > 1500
+
+
+def test_an_infinite_or_nan_majorant_power_fails_closed():
+    p = 2.0
+    big = np.finfo(float).max
+    # H^p = inf and NaN fail whatever |Lh|; H^p = 0 and a subnormal H^p
+    # hold only |Lh| <= H; at H^p = max the bound overflows, so |Lh| is
+    # tested against H = sqrt(max) = 1.34e154 and not against an inf bound
+    hp = np.array([[np.inf, np.nan, 0.0, 0.0, 1e-320, big, big, 4.0]])
+    alh = np.array([[0.0, 0.0, 0.0, 1e-300, 9e-161, 1e154, 1.5e154, 2.0]])
+    with np.errstate(over="ignore"):
+        y = alh**p
+    held = extend._dominated(alh, y, hp.copy(), p)
+    assert held.tolist() == [[False, False, True, False, True, True, False, True]]
+
+
+@pytest.mark.parametrize("p", [120.0, 140.0, 160.0])
+def test_rows_whose_power_sums_leave_the_normal_range_keep_their_ratio_bits(p):
+    # the large-p pair: |Lh|^p sums underflow at p = 120 and 140, and at
+    # p = 160 |h|^p sums overflow too; those rows keep the ratio of the
+    # max-scaled norms bit for bit, and the others agree with it to 1e-15
+    inst = generate_instance(1, 8, p=200.0, k_ordered=True)
+    with np.errstate(all="ignore"):
+        lift = lift_operator(inst.couple, inst.f, inst.g, p, audit_samples=1)
+        conv = convexify_couple(inst.couple, p)
+        space = lift.operator.space
+        h = _one_shot_draw(2000, 8, 0)
+        lh = h @ lift.operator.entries.T
+        ah, alh = np.abs(h), np.abs(lh)
+        sx, sy = ah**p @ space.weights, alh**p @ space.weights
+        got = extend._p_norm_ratios(
+            space.weights, ah, ah.max(axis=1), alh, alh.max(axis=1), sx, sy, p
+        )
+    scaled = norm_values(conv.norm0, space, lh) / norm_values(conv.norm0, space, h)
+    odd = ~((sx >= _TINY) & (sx < math.inf) & (sy >= _TINY) & (sy < math.inf))
+    assert 0 < odd.sum() < odd.size
+    assert np.array_equal(got[odd], scaled[odd])
+    np.testing.assert_allclose(got[~odd], scaled[~odd], rtol=1e-15, atol=0.0)
+
+
 def test_audit_memory_does_not_grow_with_the_sample_count():
     n = 256
     inst = generate_instance(3, n, p=2.0, k_ordered=True)
@@ -1060,17 +1160,17 @@ def test_a_nan_ratio_in_any_audit_block_reaches_the_certificate(monkeypatch):
     lift = lift_operator(couple, f, g, 2.0, audit_samples=1)
     conv = convexify_couple(couple, 2.0)
     monkeypatch.setattr(extend, "AUDIT_BLOCK", 8)  # 4 samples a block at n = 2
-    exact = extend.scaled_p_norm
+    exact = extend._p_norm_ratios
     calls = []
 
-    def nan_in_first_block(w, a, m, p):
-        calls.append(a.shape[0])
-        values = exact(w, a, m, p)
+    def nan_in_first_block(w, ah, *args):
+        calls.append(ah.shape[0])
+        values = exact(w, ah, *args)
         return np.full_like(values, math.nan) if len(calls) == 1 else values
 
-    monkeypatch.setattr(extend, "scaled_p_norm", nan_in_first_block)
+    monkeypatch.setattr(extend, "_p_norm_ratios", nan_in_first_block)
     report = verify_lift(lift, lift.majorant, f, g, conv, samples=10)
-    assert calls == [4] * 4 + [2] * 2  # the p-norms of Lh and h in each block
+    assert calls == [4, 4, 2]  # the p-norm ratios of each block's rows
     assert math.isnan(report.norm_sample_ratios[0]) and not report.ok
 
 
