@@ -346,6 +346,6 @@ def write_json(report: CampaignReport, path: str) -> None:
         ],
         "summary": dict(zip(CSV_COLUMNS, _summary_cells(report), strict=True)),
     }
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

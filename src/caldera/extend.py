@@ -433,19 +433,21 @@ def _dominated(alh, y, hp, p: float) -> np.ndarray:
     nonnegative, and one that underflows is off by at most 2^-1075.  Any
     other cell, where H^p underflowed and two underflows could pass a real
     violation, or where H^p or the bound is infinite or NaN, takes the root
-    form of ``_root_held``, which fails closed.
+    form of ``_root_held``, which fails closed.  The one exception is a cell
+    with H^p = 0 and |Lh| = 0, as on the column of a zero entry of g: it
+    holds in either form, 0 <= 0, and stays in the power form.
     """
     slack = (1.0 + DOMINATION_SLACK) ** p
-    odd = None
+    kept = None
     # the range test runs on hp's extremes, and per cell only when they fail
     if not (hp.min() >= _TINY and float(hp.max()) * slack < INF):
         with np.errstate(over="ignore"):
-            odd = ~((hp >= _TINY) & (hp * slack < INF))
-        kept = _root_held(alh[odd], hp[odd], p)
+            odd = ~((hp >= _TINY) & (hp * slack < INF)) & ((hp != 0.0) | (alh != 0.0))
+        kept = _root_held(alh[odd], hp[odd], p) if odd.any() else None
         hp[odd] = 0.0
     hp *= slack
     held = y <= hp
-    if odd is not None:
+    if kept is not None:
         held[odd] = kept
     return held
 

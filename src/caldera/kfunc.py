@@ -13,16 +13,20 @@ Three computational routes live here:
 * certified solves over sign-compatible dominated splittings: a Newton
   solve for the optimal truncation level when one exponent is infinite, and
   for the multiplier of the Pareto curve of the two norms when both are
-  finite, each certified by a dual pairing,
+  finite, each certified by a dual pairing.  The truncation objective is
+  smooth between consecutive moduli, so each problem starts on the piece
+  that holds its root and steps in tau = (P - c)^min(p - 1, 1), P the
+  piece's upper end, which keeps the slope finite there for p < 2,
 * D as the best of the 2(n+1) disjoint splits that put the bottom k or the
   top n - k moduli in slot 0, exact on every couple.
 
 One table, ``_FUNCTIONALS``, maps "K" and "D" to the function that picks
 the route; single points are its one-point grid, and profiles and the
 sandwich checks select by kind through it.  Profiles take one vector or an
-(m, n) stack.  The truncation-level solve is one batched Newton loop over
-every (vector, t) problem still open, the multiplier solve one loop over the
-t-grid of each row.
+(m, n) stack.  The truncation-level solve evaluates every level of each
+vector once, then runs one batched Newton loop over every (vector, t)
+problem still open, the multiplier solve one loop over the t-grid of each
+row.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  The K-ordering
@@ -72,6 +76,9 @@ SOLVER_REL_GAP = 1e-6
 # stop, and their iteration cap
 TRUNCATION_REL_GAP = 1e-15
 TRUNCATION_MAX_ITER = 200
+
+# values per block when the truncation solve evaluates every level of a vector
+LEVEL_BLOCK = 2**16
 
 # decomposition, profile and sandwich comparisons
 DECOMPOSITION_TOL = 1e-12
@@ -189,97 +196,147 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
     phi(c) = ||(a - c)_+||_{p0} + t c, whose slope is t - s(c) with s(c) the
     nonincreasing l1 mass of the norm's gradient.  So c = 0 when s(0) <= t,
     c = max a when t <= s(max a-) = (weight of the top atoms)^(1/p0), and
-    otherwise s(c) = t, solved by Newton steps that bisect when they leave a
-    bracket s(lo) > t >= s(hi).  The certificate is the dual pairing: a z >= 0
-    with dual norm <= 1 and sum z <= t gives K >= <z, a>, and the gradient
-    at c pairs with a to N(c) + c s(c).  Scaled end gradients settle the end
-    cases; the mix of the bracket-end gradients with mass t, the rest.
+    otherwise s(c) = t.
+
+    The levels 0 and each smaller modulus cut [0, max a] into pieces on
+    which phi is smooth.  N and s are evaluated once at every level, and
+    each (vector, t) problem starts in its piece: lo is the last level with
+    s > t and hi the next level, or the top, so s(lo) > t >= s(hi) holds as
+    computed, and the best value and the lower bound start from both ends.
+    Inside the piece it takes Newton steps in tau = (P - c)^e, with P the
+    piece's upper end and e = min(p0 - 1, 1).  The atoms at P give s an
+    infinite slope there when p0 < 2, and tau makes it finite; at e = 1 the
+    steps are Newton steps in c.  The first iterate is the secant in tau
+    between the piece's ends.  A step that leaves the bracket takes its
+    midpoint instead: in c for p0 >= 2, and in log(P - c) for p0 < 2, where
+    the root can lie within an ulp of P.
+
+    The certificate does not depend on where the iterates come from: a z >= 0
+    with dual norm <= 1 and sum z <= t gives K >= <z, a>, and the gradient at
+    c pairs with a to l(c) = N(c) + c s(c).  Scaled end gradients settle the
+    end cases, and the mix of the two bracket ends' gradients with mass t
+    bounds the rest.  A column stops once that gap is within
+    TRUNCATION_REL_GAP of its value or its bracket is one ulp wide, and the
+    gaps go through ``_certified_gaps``.
 
     ``a`` is one vector of moduli or an (m, n) stack, reduced over the last
-    axis.  Every (vector, t) problem is a column of one state array; each
-    pass steps the open columns together and drops a column once its gap
-    closes or its bracket is one ulp wide.
+    axis.  Column k is vector k // T at t = ts[k % T].  Each pass steps the
+    live columns together, and drops the rows of the ones that stop.
 
     Returns values, levels c, split norms N(c) and certified gaps, each of
     shape ``a.shape[:-1] + ts.shape``.
     """
     stack = a.reshape(-1, a.shape[-1])
-    size = ts.size
+    m, n = stack.shape
     top = stack.max(axis=-1, initial=0.0)
+    s_top = np.array([w[v == c].sum() for v, c in zip(stack, top)]) ** (1.0 / p0)
 
     def at(rows: np.ndarray, top: np.ndarray, x: np.ndarray):
-        # N, s and s' at levels x < top, each excess scaled by the largest;
-        # an overflowing e^(p0-2) or p0 in {1, inf} leaves s' non-finite or
-        # zero, which only turns the next step into a bisection, and a zero
-        # vector leaves s = 0/0
+        # N and s at levels x < top, and s' from the right, each excess
+        # scaled by the largest; an overflowing e^(p0-2) or p0 in {1, inf}
+        # leaves s' non-finite or zero, which only turns the next step into
+        # a bisection
         m = top - x
         e = np.maximum(rows - x[:, None], 0.0) / m[:, None]
         pos = e > 0.0
-        r = np.power(e, p0 - 1.0, out=np.zeros_like(e), where=pos)
-        s1, sp = r @ w, (r * e) @ w
+        r = np.zeros((3,) + e.shape)
+        np.power(e, p0 - 1.0, out=r[0], where=pos)
+        np.multiply(r[0], e, out=r[1])
+        np.divide(r[0], e, out=r[2], where=pos)
+        s1, sp, s2 = r @ w
         q = sp ** (1.0 / p0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s2 = np.divide(r, e, out=np.zeros_like(e), where=pos) @ w
-            ds = (1.0 - p0) * (s2 - s1 * s1 / sp) * q / sp / m
-            return m * q, s1 * q / sp, ds
+        return m * q, s1 * q / sp, (1.0 - p0) * (s2 - s1 * s1 / sp) * q / sp / m
 
-    # a zero vector, taken at top 1, gets n0 = 0 and s0 = 1, which closes
-    # its gap at 0
-    live = top > 0.0
-    n0, s0, ds0 = at(stack, np.where(live, top, 1.0), np.zeros(top.size))
-    s_top = [float(w[v == c].sum()) ** (1.0 / p0) for v, c in zip(stack, top)]
-    # column k solves vector k // size at t = ts[k % size]
-    moduli = np.repeat(stack, size, axis=0)
-    t = np.concatenate([ts] * top.size)
-    s0 = np.where(live, s0, 1.0)
-    top, n0, s0, ds0, s_top = np.repeat([top, n0, s0, ds0, s_top], size, axis=1)
-    at_zero = n0 <= t * top
-    zero = np.zeros_like(t)
-    # rows: t, top, level x, s(x), s'(x), bracket end lo with s > t and end
-    # hi with s <= t (each as c, s and N + c s), best value, its level, its
-    # N, certified lower bound and the column index
-    state = np.array(
-        [
-            t, top, zero, s0, ds0, zero, s0, n0, top, s_top, top * s_top,
-            np.where(at_zero, n0, t * top),
-            np.where(at_zero, 0.0, top),
-            np.where(at_zero, n0, 0.0),
-            np.maximum(np.minimum(1.0, t / s0) * n0, np.minimum(s_top, t) * top),
-            np.arange(t.size),
-        ]
-    )
-    closed = []
-    for _ in range(TRUNCATION_MAX_ITER):
-        t, top, x, s_x, ds_x, lo, s_lo, l_lo, hi, s_hi, l_hi, best, _, _, lower, _ = state
-        with np.errstate(over="ignore"):
-            x = x - (s_x - t) / np.where(ds_x < 0.0, ds_x, np.nan)
-        state[2] = x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        # a column stays open until its gap closes or its bracket is one ulp
-        keep = (best - lower > TRUNCATION_REL_GAP * best) & (lo < x) & (x < hi)
-        if not keep.all():
-            closed.append(state[:, ~keep])
-            state, moduli = state[:, keep], moduli[keep]
-            if state.size == 0:
-                break
-            t, top, x, s_x, ds_x, lo, s_lo, l_lo, hi, s_hi, l_hi, best, _, _, lower, _ = state
-        n_x, s_x, ds_x = at(moduli, top, x)
-        phi = n_x + t * x
-        np.copyto(state[11:14], (phi, x, n_x), where=phi < best)
-        # x replaces the bracket end on its side of s = t
-        side = s_x <= t
-        ends = np.array([x, s_x, n_x + x * s_x])
-        np.copyto(state[8:11], ends, where=side)
-        np.copyto(state[5:8], ends, where=~side)
-        state[3:5] = s_x, ds_x
+    def midpoint(lo: np.ndarray, hi: np.ndarray, piece: np.ndarray):
+        # the bracket's midpoint in c, or for p0 < 2 in log(P - c): a root
+        # within an ulp of P is then reached in a few halvings of the
+        # exponent, not some fifty halvings of c
+        mid = 0.5 * (lo + hi)
+        if p0 >= 2.0:
+            return mid
+        geo = piece - np.sqrt((piece - lo) * np.maximum(piece - hi, np.spacing(piece)))
+        return np.where((lo < geo) & (geo < hi), geo, mid)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # each vector's levels 0, its moduli but the largest, and its top,
+        # with N and s there; a level at the top (a tie with it, or any
+        # level of a zero vector) takes the top's N = 0 and s(max a-)
+        table = np.empty((3, m, n + 1))
+        table[0] = np.concatenate([np.zeros((m, 1)), np.sort(stack)[:, :-1], top[:, None]], 1)
+        table[1], table[2] = 0.0, s_top[:, None]
+        cells = np.flatnonzero(table[0] < top[:, None])
+        per = max(LEVEL_BLOCK // n, 1)
+        for i in range(0, cells.size, per):
+            part = cells[i : i + per]
+            v = part // (n + 1)
+            table[1].flat[part], table[2].flat[part], _ = at(stack[v], top[v], table[0].flat[part])
+        # column k solves vector row[k] at t[k] = ts[k % T], from the last
+        # level with s > t and the next one, or from 0 or the top, whichever
+        # phi is lower at, when the column is an end case
+        row, t = np.arange(m * ts.size) // ts.size, np.concatenate([ts] * m)
+        # one past the last level below the top with s > t, or 0
+        last = np.max((table[2][row, :n] > t[:, None]) * np.arange(1, n + 1), axis=1, initial=0)
+        interior = (last > 0) & (t > s_top[row])
+        end = np.where(table[1][row, 0] <= t * top[row], 0, n)
+        j = np.where(interior, last - 1, end)
+        (c_lo, n_lo, s_lo), (c_hi, n_hi, s_hi) = table[:, row, j], table[:, row, j + interior]
+        # the bracket ends lo and hi, each as c, s and l = N + c s
+        ends = np.array([c_lo, s_lo, n_lo + c_lo * s_lo, c_hi, s_hi, n_hi + c_hi * s_hi])
+        # the best value with its level and N, and the certified lower bound
+        phi_lo, phi_hi = n_lo + t * c_lo, n_hi + t * c_hi
+        found = np.empty((4, t.size))
+        found[:3] = np.where(
+            phi_hi < phi_lo, np.array([phi_hi, c_hi, n_hi]), np.array([phi_lo, c_lo, n_lo])
+        )
+        n0, s0 = table[1:, row, 0]
+        found[3] = np.maximum(np.minimum(1.0, t / s0) * n0, np.minimum(s_top[row], t) * top[row])
         mix = (t - s_hi) / (s_lo - s_hi)
-        np.maximum(lower, mix * l_lo + (1.0 - mix) * l_hi, out=lower)
-    done = np.concatenate(closed + [state], axis=1)
-    result = np.empty((4, done.shape[1]))
-    result[:, done[15].astype(np.intp)] = done[11:15]
-    best, levels, a0n, lower = result
+        np.maximum(found[3], mix * ends[2] + (1.0 - mix) * ends[5], out=found[3], where=interior)
+        # t, the top and the piece's upper end P; the first iterate is the
+        # secant in tau (a float64 e makes 1 / e at p0 = 1 inf, not an error)
+        fixed = np.array([t, top[row], c_hi])
+        e = np.float64(min(p0 - 1.0, 1.0))
+        x = c_hi - mix ** (1.0 / e) * (c_hi - c_lo)
+        # the live columns k, with their rows of each array
+        k = np.flatnonzero(interior)
+        fixed, found_k, ends, x, rows = fixed[:, k], found[:, k], ends[:, k], x[k], stack[row[k]]
+        for _ in range(TRUNCATION_MAX_ITER):
+            lo, hi = ends[0], ends[3]
+            inside = (lo < x) & (x < hi)
+            if not inside.all():
+                x = np.where(inside, x, midpoint(lo, hi, fixed[2]))
+                inside = (lo < x) & (x < hi)
+            # a column stays live until its gap closes or its bracket is one ulp
+            live = (found_k[0] - found_k[3] > TRUNCATION_REL_GAP * found_k[0]) & inside
+            if not live.all():
+                found[:, k[~live]] = found_k[:, ~live]
+                k, fixed, found_k, ends, x, rows = (
+                    k[live], fixed[:, live], found_k[:, live], ends[:, live], x[live], rows[live]
+                )
+            if k.size == 0:
+                break
+            t, top, piece = fixed
+            n_x, s_x, ds_x = at(rows, top, x)
+            phi = n_x + t * x
+            np.copyto(found_k[:3], np.array([phi, x, n_x]), where=phi < found_k[0])
+            # x replaces the bracket end on its side of s = t
+            point = np.array([x, s_x, n_x + x * s_x])
+            side = s_x <= t
+            np.copyto(ends[3:], point, where=side)
+            np.copyto(ends[:3], point, where=~side)
+            mix = (t - ends[4]) / (ends[1] - ends[4])
+            np.maximum(found_k[3], mix * ends[2] + (1.0 - mix) * ends[5], out=found_k[3])
+            if p0 >= 2.0:
+                x = x - (s_x - t) / ds_x
+            else:
+                # a Newton step in tau: tau' = tau (1 + e (s - t) / (s' (P - x)))
+                d = piece - x
+                x = x - d * np.expm1(np.log1p(e * (s_x - t) / (ds_x * d)) / e)
+        found[:, k] = found_k
+    best, level, a0n, lower = found
     gaps = _certified_gaps(best, lower, ts, a.ndim == 2)
     shape = a.shape[:-1] + ts.shape
-    return best.reshape(shape), levels.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
+    return best.reshape(shape), level.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
 
 
 def _logit_roots(z: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -614,12 +671,13 @@ def check_k_d_sandwich(couple: Couple, f, t_grid=None):
     kv, _, _, gaps, _ = _FUNCTIONALS["K"](couple, fv, ts)
     dv = _FUNCTIONALS["D"](couple, fv, ts)[0]
     slack = SANDWICH_TOL * np.maximum(kv, 1e-300) + gaps
+    below, above = dv < kv - slack, dv > 2.0 * kv + 2.0 * slack
     violations = []
-    for i, t in enumerate(ts):
-        if dv[i] < kv[i] - slack[i]:
-            violations.append((float(t), "D below K", float(kv[i] - dv[i])))
-        if dv[i] > 2.0 * kv[i] + 2.0 * slack[i]:
-            violations.append((float(t), "D above 2K", float(dv[i] - 2.0 * kv[i])))
+    for i in np.flatnonzero(below | above):
+        if below[i]:
+            violations.append((float(ts[i]), "D below K", float(kv[i] - dv[i])))
+        if above[i]:
+            violations.append((float(ts[i]), "D above 2K", float(dv[i] - 2.0 * kv[i])))
     # fail closed: every comparison with a NaN is False
     if not (np.all(np.isfinite(kv)) and np.all(np.isfinite(dv))):
         violations.append((float("nan"), "non-finite value", math.inf))
@@ -674,17 +732,16 @@ def _power_sandwich(kind, couple, f, p, t_grid):
     scale = np.maximum(lower, 1e-300)
     hard = SANDWICH_TOL * scale
     soft = hard + base_gap + conv_gap
-    violations = []
-    flags = []
-    for i, t in enumerate(ts):
-        low_break = lower[i] - middle[i]
-        high_break = middle[i] - bound * lower[i]
-        worst = max(low_break, high_break)
-        if worst > soft[i]:
-            side = "below lower" if low_break >= high_break else "above upper"
-            violations.append((float(t), side, float(worst)))
-        elif worst > hard[i]:
-            flags.append((float(t), float(worst)))
+    low_break, high_break = lower - middle, middle - bound * lower
+    # Python's max: the second only when it is larger, so a NaN second loses
+    worst = np.where(high_break > low_break, high_break, low_break)
+    broken, flagged = worst > soft, worst > hard
+    violations = [
+        (float(ts[i]), "below lower" if low_break[i] >= high_break[i] else "above upper",
+         float(worst[i]))
+        for i in np.flatnonzero(broken)
+    ]
+    flags = [(float(ts[i]), float(worst[i])) for i in np.flatnonzero(flagged & ~broken)]
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(middle))):
         violations.append((float("nan"), "non-finite value", math.inf))
     ratios = np.where(lower > 0.0, middle / scale, 1.0)

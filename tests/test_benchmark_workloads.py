@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -75,3 +76,50 @@ def test_lift_pools_take_no_audit_fallback(name, monkeypatch, tmp_path):
     for req in {id(req): req for req in pool}.values():
         assert workload.check(req, workload.execute(req)) == "", (req.n, req.p)
     assert not taken, f"{len(taken)} audit fallbacks: {sorted(set(taken))}"
+
+
+def _campaign_pool(monkeypatch, tmp_path):
+    workload = _load_workloads(monkeypatch).WORKLOADS["campaign-profiles"]
+    pool = workload.setup(1, str(tmp_path))
+    assert len(pool) == len(workload.SIZES) == 24
+    return workload, pool
+
+
+def test_campaign_pool_passes_the_benchmark_check(monkeypatch, tmp_path):
+    # every config of the seed-1 pool, not only the two warm-up configs
+    workload, pool = _campaign_pool(monkeypatch, tmp_path)
+    for req in pool:
+        assert workload.check(req, workload.execute(req)) == "", req.n
+
+
+# the most truncation-solve passes any (l_p, sup) K profile of the seed-1
+# campaign pool takes; the Newton loop from c = 0 that the piece-bracketed
+# solve replaced took up to 24
+CAMPAIGN_TRUNCATION_PASSES = 10
+
+
+def test_campaign_pool_certifies_within_its_truncation_passes(monkeypatch, tmp_path):
+    # a change that sends the maligranda rows' K solves back to more passes
+    # fails here: a solve cut at the cap stops short of its TRUNCATION_REL_GAP
+    # stop, or fails closed and its row raises
+    import json
+
+    import caldera.kfunc as kfunc
+
+    workload, pool = _campaign_pool(monkeypatch, tmp_path)
+    monkeypatch.setattr(kfunc, "TRUNCATION_MAX_ITER", CAMPAIGN_TRUNCATION_PASSES)
+    solves = []
+
+    def recorded(*args, _solve=kfunc._k_truncation):
+        solves.append(_solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(kfunc, "_k_truncation", recorded)
+    for req in pool:
+        assert workload.check(req, workload.execute(req)) == "", req.n
+        with open(req.json_path) as fh:
+            rows = [r for r in json.load(fh)["rows"] if r["suite"] == "maligranda"]
+        assert len(rows) == 3 and all(r["error"] == "" for r in rows), req.n
+    assert len(solves) == 3 * len(pool)
+    for vals, _, _, gaps in solves:
+        assert np.all(gaps <= kfunc.TRUNCATION_REL_GAP * vals)

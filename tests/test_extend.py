@@ -1191,3 +1191,32 @@ def test_non_finite_majorant_values_count_as_domination_violations():
     assert not lift_certified(
         lift.residual_lf_g, lift.domination_violations, lift.norm_sample_ratios, p
     )
+
+
+def test_a_zero_entry_of_g_keeps_the_audit_in_the_power_form(monkeypatch):
+    # g[0] = 0 makes row 0 of T zero, so H(h)^p = 0 on that output; |Lh| = 0
+    # there too, and such cells hold in the power form instead of sending
+    # every block through the root form
+    inst = generate_instance(1, 64, p=3.0, k_ordered=True)
+    fv, gv = np.asarray(inst.f), np.array(inst.g)
+    gv[0] = 0.0
+    calls = []
+
+    def counted(alh, hp, p, _exact=extend._root_held):
+        calls.append(alh.size)
+        return _exact(alh, hp, p)
+
+    monkeypatch.setattr(extend, "_root_held", counted)
+    lift = lift_operator(inst.couple, fv, gv, 3.0, audit_samples=2000)
+    assert not lift.operator.entries[0].any()
+    assert lift.domination_violations == 0 and calls == []
+    # a bogus L with a nonzero entry in that row still fails: the cells with
+    # H^p = 0 and |Lh| > 0 take the root form and break
+    bogus = lift.operator.entries.copy()
+    bogus[0, 5] = 1e-3
+    fake = dataclasses.replace(
+        lift, operator=MatrixOperator(space=inst.couple.space, entries=bogus)
+    )
+    conv = convexify_couple(inst.couple, 3.0)
+    report = verify_lift(fake, lift.majorant, fv, gv, conv, samples=2000)
+    assert report.domination_violations == 2000 and sum(calls) == 2000

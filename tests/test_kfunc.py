@@ -156,6 +156,84 @@ def oracle_k_sup_side(weights, a, p0, t):
     return min(float(res.fun), phi(0.0), phi(top))
 
 
+def reference_k_truncation(w, a, p0, ts):
+    """The truncation-level solve as one batched Newton loop from c = 0.
+
+    The route the piece-bracketed solve replaced, kept as its reference: every
+    (vector, t) problem starts on the bracket [0, max a] and takes Newton
+    steps in c that bisect when they leave it, with the same dual-pairing
+    certificate and gap check.
+    """
+    stack = a.reshape(-1, a.shape[-1])
+    size = ts.size
+    top = stack.max(axis=-1, initial=0.0)
+
+    def at(rows, top, x):
+        m = top - x
+        e = np.maximum(rows - x[:, None], 0.0) / m[:, None]
+        pos = e > 0.0
+        r = np.power(e, p0 - 1.0, out=np.zeros_like(e), where=pos)
+        s1, sp = r @ w, (r * e) @ w
+        q = sp ** (1.0 / p0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2 = np.divide(r, e, out=np.zeros_like(e), where=pos) @ w
+            ds = (1.0 - p0) * (s2 - s1 * s1 / sp) * q / sp / m
+            return m * q, s1 * q / sp, ds
+
+    live = top > 0.0
+    n0, s0, ds0 = at(stack, np.where(live, top, 1.0), np.zeros(top.size))
+    s_top = [float(w[v == c].sum()) ** (1.0 / p0) for v, c in zip(stack, top)]
+    moduli = np.repeat(stack, size, axis=0)
+    t = np.concatenate([ts] * top.size)
+    s0 = np.where(live, s0, 1.0)
+    top, n0, s0, ds0, s_top = np.repeat([top, n0, s0, ds0, s_top], size, axis=1)
+    at_zero = n0 <= t * top
+    zero = np.zeros_like(t)
+    # rows: t, top, level x, s(x), s'(x), bracket end lo with s > t and end
+    # hi with s <= t (each as c, s and N + c s), best value, its level, its
+    # N, certified lower bound and the column index
+    state = np.array(
+        [
+            t, top, zero, s0, ds0, zero, s0, n0, top, s_top, top * s_top,
+            np.where(at_zero, n0, t * top),
+            np.where(at_zero, 0.0, top),
+            np.where(at_zero, n0, 0.0),
+            np.maximum(np.minimum(1.0, t / s0) * n0, np.minimum(s_top, t) * top),
+            np.arange(t.size),
+        ]
+    )
+    closed = []
+    for _ in range(kfunc.TRUNCATION_MAX_ITER):
+        t, top, x, s_x, ds_x, lo, s_lo, l_lo, hi, s_hi, l_hi, best, _, _, lower, _ = state
+        with np.errstate(over="ignore"):
+            x = x - (s_x - t) / np.where(ds_x < 0.0, ds_x, np.nan)
+        state[2] = x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        keep = (best - lower > kfunc.TRUNCATION_REL_GAP * best) & (lo < x) & (x < hi)
+        if not keep.all():
+            closed.append(state[:, ~keep])
+            state, moduli = state[:, keep], moduli[keep]
+            if state.size == 0:
+                break
+            t, top, x, s_x, ds_x, lo, s_lo, l_lo, hi, s_hi, l_hi, best, _, _, lower, _ = state
+        n_x, s_x, ds_x = at(moduli, top, x)
+        phi = n_x + t * x
+        np.copyto(state[11:14], (phi, x, n_x), where=phi < best)
+        side = s_x <= t
+        ends = np.array([x, s_x, n_x + x * s_x])
+        np.copyto(state[8:11], ends, where=side)
+        np.copyto(state[5:8], ends, where=~side)
+        state[3:5] = s_x, ds_x
+        mix = (t - s_hi) / (s_lo - s_hi)
+        np.maximum(lower, mix * l_lo + (1.0 - mix) * l_hi, out=lower)
+    done = np.concatenate(closed + [state], axis=1)
+    result = np.empty((4, done.shape[1]))
+    result[:, done[15].astype(np.intp)] = done[11:15]
+    best, levels, a0n, lower = result
+    gaps = kfunc._certified_gaps(best, lower, ts, a.ndim == 2)
+    shape = a.shape[:-1] + ts.shape
+    return best.reshape(shape), levels.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # exact route
 # ---------------------------------------------------------------------------
@@ -425,6 +503,46 @@ def test_batched_truncation_matches_bounded_scipy_oracle():
                 expected = oracle_k_sup_side(w, row, p0, t)
                 assert value <= expected * (1 + 4e-15)
                 assert value - gap <= expected * (1 + 4e-15)
+
+
+def test_piece_bracketed_truncation_matches_the_newton_loop_and_the_oracle():
+    # stacks with ties, zeros, an all-zero row, n = 1 and weights 10^(+-6),
+    # against the loop it replaced and against scipy's bounded minimisation
+    rng = np.random.default_rng(113)
+    exponents = (1.0, 1.001, 1.01, 1.5, 2.0, 3.0, 6.0, 40.0, 120.0)
+    for i in range(400):
+        w, stack = _sup_side_stack(rng, i)
+        w = 10.0 ** rng.uniform(-6, 6, size=w.size) if i % 2 else w
+        p0 = exponents[i % len(exponents)]
+        ts = np.unique(10.0 ** rng.uniform(-6, 6, size=5))
+        vals, levels, a0n, gaps = _k_truncation(w, stack, p0, ts)
+        ref = reference_k_truncation(w, stack, p0, ts)
+        assert np.all(np.abs(vals - ref[0]) <= 2e-15 * ref[0]), (i, p0)
+        assert np.all(gaps <= kfunc.TRUNCATION_REL_GAP * vals), (i, p0)
+        assert np.all((0.0 <= levels) & (levels <= stack.max(axis=1, keepdims=True)))
+        assert np.allclose(a0n + ts * levels, vals, rtol=1e-15, atol=0.0)
+        if i % 5 == 0:
+            for row, row_vals, row_gaps in zip(stack, vals, gaps):
+                for t, value, gap in zip(ts, row_vals, row_gaps):
+                    expected = oracle_k_sup_side(w, row, p0, t)
+                    assert value <= expected * (1 + 4e-15)
+                    assert value - gap <= expected * (1 + 4e-15)
+
+
+@pytest.mark.parametrize("block", [1, 100, 500])
+def test_truncation_levels_evaluated_in_blocks_give_the_same_solve(monkeypatch, block):
+    # LEVEL_BLOCK bounds the level evaluation's memory; a stack whose levels
+    # span several blocks solves as in one
+    rng = np.random.default_rng(127)
+    w, stack = _sup_side_stack(rng, 3)
+    ts = default_t_grid()
+    one = _k_truncation(w, stack, 1.5, ts)
+    monkeypatch.setattr(kfunc, "LEVEL_BLOCK", block)
+    split = _k_truncation(w, stack, 1.5, ts)
+    # each block holds block // n levels, so the levels span several blocks
+    assert stack.size > 2 * max(block // stack.shape[1], 1)
+    assert np.all(np.abs(split[0] - one[0]) <= 2e-15 * one[0])
+    assert np.all(split[3] <= kfunc.TRUNCATION_REL_GAP * split[0])
 
 
 def _route_couples(space):
@@ -1062,6 +1180,86 @@ def test_k_power_sandwich_reports_a_shrunk_k_as_a_violation(monkeypatch):
     assert not report.ok
     assert len(report.violations) == 55 and report.solver_flags == ()
     assert {side for _, side, _ in report.violations} == {"below lower"}
+
+
+def _loop_sandwich_entries(ts, kv, dv, slack):
+    """The per-t loop of check_k_d_sandwich before it was vectorised."""
+    violations = []
+    for i, t in enumerate(ts):
+        if dv[i] < kv[i] - slack[i]:
+            violations.append((float(t), "D below K", float(kv[i] - dv[i])))
+        if dv[i] > 2.0 * kv[i] + 2.0 * slack[i]:
+            violations.append((float(t), "D above 2K", float(dv[i] - 2.0 * kv[i])))
+    return violations
+
+
+def _loop_power_entries(ts, lower, middle, bound, soft, hard):
+    """The per-t loop of _power_sandwich before it was vectorised."""
+    violations, flags = [], []
+    for i, t in enumerate(ts):
+        low_break = lower[i] - middle[i]
+        high_break = middle[i] - bound * lower[i]
+        worst = max(low_break, high_break)
+        if worst > soft[i]:
+            side = "below lower" if low_break >= high_break else "above upper"
+            violations.append((float(t), side, float(worst)))
+        elif worst > hard[i]:
+            flags.append((float(t), float(worst)))
+    return violations, flags
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_vectorised_sandwich_comparisons_keep_the_loops_entries(monkeypatch, seed):
+    # crafted tables break both sides, land between the hard and the soft
+    # tolerance, and hold NaN and inf values; the entries, their order and
+    # their floats must equal the per-t loops'
+    rng = np.random.default_rng(seed)
+    couple = l1_linf_couple(_uniform(3))
+    ts = default_t_grid()
+    p = 2.0
+    base = 10.0 ** rng.uniform(-3, 3, ts.size)
+    lower = base ** (1.0 / p)
+    scale = np.where(rng.random(ts.size) < 0.5, 1.0, rng.uniform(0.5, 1.6, ts.size))
+    middle = lower * scale
+    # just outside 1 and sqrt(2): inside the soft tolerance, past the hard one
+    near = rng.random(ts.size) < 0.2
+    middle[near] = lower[near] * (1.0 - 2e-9)
+    gaps = np.where(rng.random(ts.size) < 0.5, 1e-8 * lower, 0.0)
+    if seed % 2:
+        middle[[3, 7]] = [np.nan, np.inf]
+        base[11] = np.inf
+        lower = base ** (1.0 / p)
+    tables = {"base": (base, gaps), "conv": (middle, gaps)}
+
+    def table(c, fv, grid):
+        vals, g = tables["base" if c is couple else "conv"]
+        zero = np.zeros_like(vals)
+        return vals, zero, zero, g, None
+
+    monkeypatch.setitem(kfunc._FUNCTIONALS, "K", table)
+    with np.errstate(invalid="ignore", over="ignore"):
+        report = check_k_power_sandwich(couple, [3.0, 2.0, 1.0], p, t_grid=ts)
+        hard = kfunc.SANDWICH_TOL * np.maximum(lower, 1e-300)
+        violations, flags = _loop_power_entries(
+            ts, lower, middle, 2.0 ** (1.0 - 1.0 / p), hard + 2.0 * gaps, hard
+        )
+        if seed % 2:
+            violations.append((float("nan"), "non-finite value", math.inf))
+        assert repr(report.violations) == repr(tuple(violations))
+        assert repr(report.solver_flags) == repr(tuple(flags))
+        assert {side for _, side, _ in violations} >= {"below lower", "above upper"}
+        assert flags
+
+        # check_k_d_sandwich: K from the base table, D from 1.5 times the other
+        dv = middle * 1.5
+        monkeypatch.setitem(kfunc._FUNCTIONALS, "D", lambda c, fv, grid: (dv,))
+        report = check_k_d_sandwich(couple, [3.0, 2.0, 1.0], t_grid=ts)
+        slack = kfunc.SANDWICH_TOL * np.maximum(base, 1e-300) + gaps
+        violations = _loop_sandwich_entries(ts, base, dv, slack)
+        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(dv))):
+            violations.append((float("nan"), "non-finite value", math.inf))
+    assert repr(report.violations) == repr(tuple(violations))
+    assert {side for _, side, _ in violations} >= {"D below K", "D above 2K"}
 
 
 # ---------------------------------------------------------------------------
