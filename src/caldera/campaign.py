@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extend import check_minkowski, lift_operator, lift_violations
-from .instances import generate_instance, orchestration_rng, payload_rng
+from .instances import _philox_key, generate_instance, orchestration_rng, payload_rng
 from .kfunc import (
     check_d_power_sandwich,
     check_k_d_sandwich,
@@ -44,8 +44,7 @@ class CampaignConfig:
     suites: tuple = ("sandwich",)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError("seed must be a nonnegative integer")
+        _philox_key(self.seed, 0, 0)  # an instance seed: an integer in [0, 2^64)
         if self.instance_count < 0:
             raise DomainError("instance_count must be nonnegative")
         if not (1 <= self.n_min <= self.n_max):
@@ -60,6 +59,9 @@ class CampaignConfig:
         for p in self.p_set:
             if not (1.0 < p < INF):
                 raise DomainError(f"p_set values must lie in (1, inf), got {p}")
+        needs_p = [s for s in self.suites if s in P_DEPENDENT_SUITES]
+        if needs_p and not self.p_set:
+            raise DomainError(f"p_set is empty, but suite {needs_p[0]!r} runs once per p")
         self.grid()  # default_t_grid rejects a bad t_grid
 
     def grid(self) -> np.ndarray:

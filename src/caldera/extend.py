@@ -46,6 +46,7 @@ from .lattice import (
     is_l1_linf,
     # unused here; it stays because perfbench/tracing.py patches extend.norm_values
     norm_values,
+    norm_bound,
     scaled_p_norm,
     signed_log_uniform,
     values_of,
@@ -79,11 +80,6 @@ def default_alpha(p: float) -> float:
         return 2.0 ** (p - 1.0)
     except OverflowError:
         raise DomainError(f"alpha = 2^(p-1) overflows at p = {p:g}") from None
-
-
-def norm_bound(p: float) -> float:
-    """Operator norm 2^(1-1/p) the lift attains on both convexified spaces."""
-    return 2.0 ** (1.0 - 1.0 / p)
 
 
 def lift_violations(residual: float, violations: int, ratios, p: float) -> int:
@@ -218,9 +214,10 @@ def holder_rows(
     target is g clamped onto the attainable bound denom^(1/p); a row with
     g_i = 0 is zero.  The batched certificate scales overshoot up to
     ROW_RESCALE_TOL away and fails on any other dual norm, NaN included.
-    The rows are filled in blocks of AUDIT_BLOCK entries; a DomainError on
-    any row takes precedence over a failed certificate, and each error names
-    the first row it found.
+    The rows are filled in blocks of AUDIT_BLOCK entries, which raise the
+    first DomainError; the certificate then runs once over every row, so a
+    DomainError takes precedence, and each error names the first row it
+    found.
     """
     fv = values_of(f)
     n = majorant.operator.space.n
@@ -231,28 +228,22 @@ def holder_rows(
     a = np.abs(fv)
     powered, slope, sign = a**p, a ** (p - 1.0), np.sign(fv)
     out = np.empty((len(rows), n))
-    failure = None
+    rho = np.empty(len(rows))
     step = max(1, AUDIT_BLOCK // n)
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
-        ell = out[block]
-        rho = _holder_block(
-            majorant, rows[block], g[block], powered, slope, sign, slack, ell
+        rho[block] = _holder_block(
+            majorant, rows[block], g[block], powered, slope, sign, slack, out[block]
         )
-        failed = np.flatnonzero(~(rho <= 1.0 + ROW_RESCALE_TOL))
-        if not failed.size:
-            ell /= np.maximum(rho, 1.0)[:, None]
-        elif failure is None:
-            k = start + int(failed[0])
-            bad = float(rho[failed[0]])
-            failure = NumericalFailure(
-                f"row {rows[k]}: domination certificate failed with dual norm "
-                f"{bad:.12g}",
-                best_value=bad,
-                gap=bad - 1.0,
-            )
-    if failure is not None:
-        raise failure
+    failed = np.flatnonzero(~(rho <= 1.0 + ROW_RESCALE_TOL))
+    if failed.size:
+        k = int(failed[0])
+        raise NumericalFailure(
+            f"row {rows[k]}: domination certificate failed with dual norm {rho[k]:.12g}",
+            best_value=float(rho[k]),
+            gap=float(rho[k]) - 1.0,
+        )
+    out /= np.maximum(rho, 1.0)[:, None]
     return out
 
 

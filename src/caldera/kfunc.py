@@ -21,23 +21,17 @@ Three computational routes live here:
   top n - k moduli in slot 0, exact on every couple.
 
 One table, ``_FUNCTIONALS``, maps "K" and "D" to the function that picks
-the route; single points are its one-point grid, and profiles and the
-sandwich checks select by kind through it.  Profiles take one vector or an
-(m, n) stack.  The truncation-level solve evaluates every level of each
-vector once, then runs one batched Newton loop over every (vector, t)
-problem still open, the multiplier solve one loop over the t-grid of each
-row.
+the route for one vector and returns arrays over the grid; single points
+are its one-point grid, and profiles and the sandwich checks select by kind
+through it.  The truncation-level solve evaluates every level of the vector
+once, then runs one Newton loop over the t still open, and the multiplier
+solve one loop over the grid.  ``profile`` also takes an (m, n) stack and is
+the one place that splits a stack into rows; a failed solve names its row.
 
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  The K-ordering
-decision is made once, by ``k_order_failure``, which ``k_order_dominates``,
-instance generation and the lift's precondition all call: the exact test
-``p_majorization_orders`` (|g|^p weakly submajorized by |f|^p on a uniform
-(l_p, sup) couple orders the pair at every t) decides first, and the grid
-rule ``k_order_breaks``, on one validated profile of the stack [f, g], is
-the fallback.  Both certified K solves end in one gap check,
-``_certified_gaps``: a gap above the solver contract, or a NaN gap, fails
-closed with a ``NumericalFailure`` naming the row and t.
+decision is made once, by ``k_order_failure``: exact p-majorization first,
+one validated profile of the stack [f, g] as the fallback.
 """
 
 from __future__ import annotations
@@ -59,6 +53,7 @@ from .lattice import (
     dual_p_norm,
     effective_exponent,
     is_l1_linf,
+    norm_bound,
     values_of,
     vector,
     weighted_p_norm,
@@ -169,20 +164,15 @@ def _split_from_modulus(space: MeasureSpace, fv: np.ndarray, u: np.ndarray) -> D
 # ---------------------------------------------------------------------------
 
 
-def _certified_gaps(best: np.ndarray, lower: np.ndarray, ts: np.ndarray, stacked: bool):
-    """Certified gaps best - lower of a K solve, flat with t fastest.
-
-    A gap above SOLVER_REL_GAP of its value, NaN included, fails closed with
-    the t it belongs to, and the row when ``stacked``.
-    """
+def _certified_gaps(best: np.ndarray, lower: np.ndarray, ts: np.ndarray):
+    """Certified gaps best - lower of a K solve over the grid ``ts``; one above
+    SOLVER_REL_GAP of its value, NaN included, fails closed naming its t."""
     gaps = np.maximum(best - lower, 0.0)
     bad = np.flatnonzero(~(gaps <= SOLVER_REL_GAP * best))
     if bad.size:
         j = int(bad[0])
-        row = f" of row {j // ts.size}" if stacked else ""
         raise NumericalFailure(
-            f"K solve{row} at t = {ts[j % ts.size]:.6g} stopped at {best[j]:.6g} "
-            f"with gap {gaps[j]:.3e}",
+            f"K solve at t = {ts[j]:.6g} stopped at {best[j]:.6g} with gap {gaps[j]:.3e}",
             best_value=float(best[j]),
             gap=float(gaps[j]),
         )
@@ -200,44 +190,39 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
 
     The levels 0 and each smaller modulus cut [0, max a] into pieces on
     which phi is smooth.  N and s are evaluated once at every level, and
-    each (vector, t) problem starts in its piece: lo is the last level with
-    s > t and hi the next level, or the top, so s(lo) > t >= s(hi) holds as
-    computed, and the best value and the lower bound start from both ends.
-    Inside the piece it takes Newton steps in tau = (P - c)^e, with P the
-    piece's upper end and e = min(p0 - 1, 1).  The atoms at P give s an
-    infinite slope there when p0 < 2, and tau makes it finite; at e = 1 the
-    steps are Newton steps in c.  The first iterate is the secant in tau
-    between the piece's ends.  A step that leaves the bracket takes its
-    midpoint instead: in c for p0 >= 2, and in log(P - c) for p0 < 2, where
-    the root can lie within an ulp of P.
+    each t starts in its piece: lo is the last level with s > t and hi the
+    next level, or the top, so s(lo) > t >= s(hi) holds as computed, and the
+    best value and the lower bound start from both ends.  Inside the piece
+    it takes Newton steps in tau = (P - c)^e, with P the piece's upper end
+    and e = min(p0 - 1, 1).  The atoms at P give s an infinite slope there
+    when p0 < 2, and tau makes it finite; at e = 1 the steps are Newton
+    steps in c.  The first iterate is the secant in tau between the piece's
+    ends.  A step that leaves the bracket takes its midpoint instead: in c
+    for p0 >= 2, and in log(P - c) for p0 < 2, where the root can lie within
+    an ulp of P.
 
     The certificate does not depend on where the iterates come from: a z >= 0
     with dual norm <= 1 and sum z <= t gives K >= <z, a>, and the gradient at
     c pairs with a to l(c) = N(c) + c s(c).  Scaled end gradients settle the
     end cases, and the mix of the two bracket ends' gradients with mass t
-    bounds the rest.  A column stops once that gap is within
-    TRUNCATION_REL_GAP of its value or its bracket is one ulp wide, and the
-    gaps go through ``_certified_gaps``.
-
-    ``a`` is one vector of moduli or an (m, n) stack, reduced over the last
-    axis.  Column k is vector k // T at t = ts[k % T].  Each pass steps the
-    live columns together, and drops the rows of the ones that stop.
-
-    Returns values, levels c, split norms N(c) and certified gaps, each of
-    shape ``a.shape[:-1] + ts.shape``.
+    bounds the rest.  Each pass steps the t still open together; a t stops
+    once its gap is within TRUNCATION_REL_GAP of its value or its bracket is
+    one ulp wide, and the gaps go through ``_certified_gaps``.  At p0 = 1 the
+    table takes the (l1, sup) closed form instead; this solve is its
+    independent check.  Returns values, levels c, split norms N(c) and
+    certified gaps over ``ts``.
     """
-    stack = a.reshape(-1, a.shape[-1])
-    m, n = stack.shape
-    top = stack.max(axis=-1, initial=0.0)
-    s_top = np.array([w[v == c].sum() for v, c in zip(stack, top)]) ** (1.0 / p0)
+    n = a.size
+    top = a.max(initial=0.0)
+    s_top = w[a == top].sum(keepdims=True) ** (1.0 / p0)
 
-    def at(rows: np.ndarray, top: np.ndarray, x: np.ndarray):
+    def at(x: np.ndarray):
         # N and s at levels x < top, and s' from the right, each excess
         # scaled by the largest; an overflowing e^(p0-2) or p0 in {1, inf}
         # leaves s' non-finite or zero, which only turns the next step into
         # a bisection
         m = top - x
-        e = np.maximum(rows - x[:, None], 0.0) / m[:, None]
+        e = np.maximum(a - x[:, None], 0.0) / m[:, None]
         pos = e > 0.0
         r = np.zeros((3,) + e.shape)
         np.power(e, p0 - 1.0, out=r[0], where=pos)
@@ -258,28 +243,27 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
         return np.where((lo < geo) & (geo < hi), geo, mid)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # each vector's levels 0, its moduli but the largest, and its top,
-        # with N and s there; a level at the top (a tie with it, or any
-        # level of a zero vector) takes the top's N = 0 and s(max a-)
-        table = np.empty((3, m, n + 1))
-        table[0] = np.concatenate([np.zeros((m, 1)), np.sort(stack)[:, :-1], top[:, None]], 1)
-        table[1], table[2] = 0.0, s_top[:, None]
-        cells = np.flatnonzero(table[0] < top[:, None])
+        # the levels 0, the moduli but the largest, and the top, with N and
+        # s there; a level at the top (a tie with it, or any level of a zero
+        # vector) takes the top's N = 0 and s(max a-)
+        table = np.empty((3, n + 1))
+        table[0] = np.concatenate([[0.0], np.sort(a)[:-1], [top]])
+        table[1], table[2] = 0.0, s_top
+        cells = np.flatnonzero(table[0] < top)
         per = max(LEVEL_BLOCK // n, 1)
         for i in range(0, cells.size, per):
             part = cells[i : i + per]
-            v = part // (n + 1)
-            table[1].flat[part], table[2].flat[part], _ = at(stack[v], top[v], table[0].flat[part])
-        # column k solves vector row[k] at t[k] = ts[k % T], from the last
-        # level with s > t and the next one, or from 0 or the top, whichever
-        # phi is lower at, when the column is an end case
-        row, t = np.arange(m * ts.size) // ts.size, np.concatenate([ts] * m)
+            table[1, part], table[2, part], _ = at(table[0, part])
+        # column k solves t = ts[k] from the last level with s > t and the
+        # next one, or from 0 or the top, whichever phi is lower at, when
+        # the column is an end case; in the loop t holds the live columns' t
+        t = ts
         # one past the last level below the top with s > t, or 0
-        last = np.max((table[2][row, :n] > t[:, None]) * np.arange(1, n + 1), axis=1, initial=0)
-        interior = (last > 0) & (t > s_top[row])
-        end = np.where(table[1][row, 0] <= t * top[row], 0, n)
+        last = np.max((table[2, :n] > t[:, None]) * np.arange(1, n + 1), axis=1, initial=0)
+        interior = (last > 0) & (t > s_top)
+        end = np.where(table[1, 0] <= t * top, 0, n)
         j = np.where(interior, last - 1, end)
-        (c_lo, n_lo, s_lo), (c_hi, n_hi, s_hi) = table[:, row, j], table[:, row, j + interior]
+        (c_lo, n_lo, s_lo), (c_hi, n_hi, s_hi) = table[:, j], table[:, j + interior]
         # the bracket ends lo and hi, each as c, s and l = N + c s
         ends = np.array([c_lo, s_lo, n_lo + c_lo * s_lo, c_hi, s_hi, n_hi + c_hi * s_hi])
         # the best value with its level and N, and the certified lower bound
@@ -288,35 +272,35 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
         found[:3] = np.where(
             phi_hi < phi_lo, np.array([phi_hi, c_hi, n_hi]), np.array([phi_lo, c_lo, n_lo])
         )
-        n0, s0 = table[1:, row, 0]
-        found[3] = np.maximum(np.minimum(1.0, t / s0) * n0, np.minimum(s_top[row], t) * top[row])
+        n0, s0 = table[1:, 0]
+        found[3] = np.maximum(np.minimum(1.0, t / s0) * n0, np.minimum(s_top, t) * top)
         mix = (t - s_hi) / (s_lo - s_hi)
         np.maximum(found[3], mix * ends[2] + (1.0 - mix) * ends[5], out=found[3], where=interior)
-        # t, the top and the piece's upper end P; the first iterate is the
-        # secant in tau (a float64 e makes 1 / e at p0 = 1 inf, not an error)
-        fixed = np.array([t, top[row], c_hi])
+        # t and the piece's upper end P; the first iterate is the secant in
+        # tau (a float64 e makes 1 / e at p0 = 1 inf, not an error)
+        fixed = np.array([t, c_hi])
         e = np.float64(min(p0 - 1.0, 1.0))
         x = c_hi - mix ** (1.0 / e) * (c_hi - c_lo)
-        # the live columns k, with their rows of each array
+        # the live columns k, with their entries of each array
         k = np.flatnonzero(interior)
-        fixed, found_k, ends, x, rows = fixed[:, k], found[:, k], ends[:, k], x[k], stack[row[k]]
+        fixed, found_k, ends, x = fixed[:, k], found[:, k], ends[:, k], x[k]
         for _ in range(TRUNCATION_MAX_ITER):
             lo, hi = ends[0], ends[3]
             inside = (lo < x) & (x < hi)
             if not inside.all():
-                x = np.where(inside, x, midpoint(lo, hi, fixed[2]))
+                x = np.where(inside, x, midpoint(lo, hi, fixed[1]))
                 inside = (lo < x) & (x < hi)
             # a column stays live until its gap closes or its bracket is one ulp
             live = (found_k[0] - found_k[3] > TRUNCATION_REL_GAP * found_k[0]) & inside
             if not live.all():
                 found[:, k[~live]] = found_k[:, ~live]
-                k, fixed, found_k, ends, x, rows = (
-                    k[live], fixed[:, live], found_k[:, live], ends[:, live], x[live], rows[live]
+                k, fixed, found_k, ends, x = (
+                    k[live], fixed[:, live], found_k[:, live], ends[:, live], x[live]
                 )
             if k.size == 0:
                 break
-            t, top, piece = fixed
-            n_x, s_x, ds_x = at(rows, top, x)
+            t, piece = fixed
+            n_x, s_x, ds_x = at(x)
             phi = n_x + t * x
             np.copyto(found_k[:3], np.array([phi, x, n_x]), where=phi < found_k[0])
             # x replaces the bracket end on its side of s = t
@@ -334,9 +318,7 @@ def _k_truncation(w: np.ndarray, a: np.ndarray, p0: float, ts: np.ndarray):
                 x = x - d * np.expm1(np.log1p(e * (s_x - t) / (ds_x * d)) / e)
         found[:, k] = found_k
     best, level, a0n, lower = found
-    gaps = _certified_gaps(best, lower, ts, a.ndim == 2)
-    shape = a.shape[:-1] + ts.shape
-    return best.reshape(shape), level.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
+    return best, level, a0n, _certified_gaps(best, lower, ts)
 
 
 def _logit_roots(z: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -441,53 +423,38 @@ def _k_finite(w: np.ndarray, v: np.ndarray, p0: float, p1: float, ts: np.ndarray
             pull = (h0 * up + h1 * down) / ((p0 - 1.0) * up + (p1 - 1.0) * down)
             step = xk - tx / (1.0 - np.nansum(pull, axis=-1))  # pinned atoms: 0/0
         x[k] = np.where((lo[k] < step) & (step < hi[k]), step, 0.5 * (lo[k] + hi[k]))
-    gaps = _certified_gaps(best, lower, ts, False)
+    gaps = _certified_gaps(best, lower, ts)
     u[:, keep] = v * np.exp(-np.logaddexp(0.0, -y_best))
     return best, a0n, a1n, gaps, u
-
-
-def _by_rows(route, fv: np.ndarray):
-    """``route(row)`` for each row of a stack, every output stacked by row."""
-    return tuple(np.stack(out) for out in zip(*map(route, fv)))
 
 
 def _exponents(couple: Couple):
     return effective_exponent(couple.norm0), effective_exponent(couple.norm1)
 
 
-def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray, solve: bool = False):
-    """K over a grid, picking the fastest applicable route.
+def _k_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
+    """K of one vector over a grid, picking the fastest applicable route.
 
-    (l1, sup) takes the closed form, or the truncation-level solve when
-    ``solve``; a sup side otherwise takes that solve, a sup first side the
-    swap K(t) = t K(1/t) with slots exchanged, and finite pairs the
-    multiplier solve.  ``fv`` is one vector or an (m, n) stack: the
-    truncation solve takes the whole stack, the other routes one row at a
-    time, each over the whole grid.  Returns the table's five arrays.
+    (l1, sup) takes the closed form, a sup side otherwise the
+    truncation-level solve, a sup first side the swap K(t) = t K(1/t) with
+    slots exchanged, and finite pairs the multiplier solve.  Returns the
+    table's five arrays.
     """
     p0, p1 = _exponents(couple)
     w, a = couple.space.weights, np.abs(fv)
-    if p1 == INF and (p0 != 1.0 or solve):
+    if p1 == INF and p0 != 1.0:
         vals, levels, a0n, gaps = _k_truncation(w, a, p0, ts)
     elif p0 == INF:
         swapped = Couple(space=couple.space, norm0=couple.norm1, norm1=couple.norm0)
-        vals, a0n, a1n, gaps, u = _k_values(swapped, fv, (1.0 / ts)[::-1], solve)
-        return (
-            ts * vals[..., ::-1],
-            a1n[..., ::-1].copy(),
-            a0n[..., ::-1],
-            ts * gaps[..., ::-1],
-            a[..., None, :] - u[..., ::-1, :],
-        )
-    elif fv.ndim == 2:
-        return _by_rows(lambda row: _k_values(couple, row, ts, solve), fv)
+        vals, a0n, a1n, gaps, u = _k_values(swapped, fv, (1.0 / ts)[::-1])
+        return ts * vals[::-1], a1n[::-1].copy(), a0n[::-1], ts * gaps[::-1], a - u[::-1]
     elif p1 == INF:
         vals, levels, a0n = rearrangement_integral(w, a, ts)
         gaps = np.zeros_like(ts)
     else:
         return _k_finite(w, a, p0, p1, ts)
     # a sup side: slot 0 keeps the excess over the level
-    return vals, a0n, levels, gaps, np.maximum(a[..., None, :] - levels[..., None], 0.0)
+    return vals, a0n, levels, gaps, np.maximum(a - levels[:, None], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +487,8 @@ def _d_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
     minimal at a vertex of their 2-d image, which puts the atoms with
     c1 |f_i|^(p0 - p1) > c2 on one side.  Either way slot 0 holds the bottom
     k or the top n - k moduli for some k.  Returns the table's five arrays,
-    with zero gaps; an (m, n) stack takes one row at a time.
+    with zero gaps.
     """
-    if fv.ndim == 2:
-        return _by_rows(lambda row: _d_values(couple, row, ts), fv)
     p0, p1 = _exponents(couple)
     a = np.abs(fv)
     order = np.argsort(a, kind="stable")
@@ -547,18 +512,18 @@ def _d_values(couple: Couple, fv: np.ndarray, ts: np.ndarray):
 # the evaluation table: single points and profiles
 # ---------------------------------------------------------------------------
 
-# kind -> f(couple, fv, ts) giving values, slot-0 and slot-1 norms, certified
-# gaps (zero for D and the closed form), each fv.shape[:-1] + ts.shape, and
-# the slot-0 moduli per t, with a trailing n
+# kind -> f(couple, fv, ts) for one vector fv, giving values, slot-0 and
+# slot-1 norms and certified gaps (zero for D and the closed form), each over
+# ts, and the slot-0 moduli, one row per t
 _FUNCTIONALS = {"K": _k_values, "D": _d_values}
 
 
-def _at_t(kind: str, couple: Couple, f, t, **route):
+def _at_t(kind: str, couple: Couple, f, t):
     """Value, split and certified gap of K or D at one t: the table's entry
     on the one-point grid [t]."""
     t = _positive_t(t)
     fv = values_of(f, couple.space.n)
-    vals, _, _, gaps, u = _FUNCTIONALS[kind](couple, fv, np.array([t]), **route)
+    vals, _, _, gaps, u = _FUNCTIONALS[kind](couple, fv, np.array([t]))
     return float(vals[0]), _split_from_modulus(couple.space, fv, u[0]), float(gaps[0])
 
 
@@ -577,10 +542,10 @@ def k_numeric(couple: Couple, f, t: float):
     """Numerical K(t, f) with an explicit near-optimal splitting.
 
     The value is within the solver's relative-gap contract of the infimum,
-    with a splitting that attains it: the truncation-level solve on a couple
-    with a sup side, (l1, sup) included, the multiplier solve otherwise.
+    with a splitting that attains it: the table's K entry on the one-point
+    grid [t], by the route ``_k_values`` picks.
     """
-    return _at_t("K", couple, f, t, solve=True)[:2]
+    return _at_t("K", couple, f, t)[:2]
 
 
 def d_exact(couple: Couple, f, t: float):
@@ -621,26 +586,31 @@ def _validate_profile(prof: KProfile):
                 raise InternalConsistencyError("K profile fails concavity")
 
 
-def _vectors_of(f, n: int) -> np.ndarray:
-    """One coerced vector, or an (m, n) stack coerced row by row."""
-    if np.ndim(f) != 2:
-        return values_of(f, n)
-    if len(f) == 0:
-        raise DomainError("a stack of vectors needs at least one row")
-    return np.stack([values_of(row, n) for row in f])
-
-
 def profile(kind: str, couple: Couple, f, t_grid) -> KProfile:
     """Evaluate K or D over a grid and check the shape invariants.
 
     ``f`` is one vector, giving arrays over the grid, or an (m, n) stack,
     giving (m, T) arrays whose row i belongs to f[i]; every row is validated.
+    Each row of a stack goes through the table alone, and a solve that fails
+    on row i raises its ``NumericalFailure`` with "row i: " prefixed.
     """
     if kind not in _FUNCTIONALS:
         raise DomainError(f"profile kind must be 'K' or 'D', got {kind!r}")
     ts = _as_grid(t_grid)
-    fv = _vectors_of(f, couple.space.n)
-    vals, a0n, a1n, gaps, _ = _FUNCTIONALS[kind](couple, fv, ts)
+    n = couple.space.n
+    if np.ndim(f) != 2:
+        vals, a0n, a1n, gaps, _ = _FUNCTIONALS[kind](couple, values_of(f, n), ts)
+    elif len(f) == 0:
+        raise DomainError("a stack of vectors needs at least one row")
+    else:
+        rows = []
+        for i, row in enumerate(f):
+            try:
+                rows.append(_FUNCTIONALS[kind](couple, values_of(row, n), ts)[:4])
+            except NumericalFailure as exc:
+                exc.args = (f"row {i}: {exc}",)
+                raise
+        vals, a0n, a1n, gaps = (np.stack(out) for out in zip(*rows))
     prof = KProfile(
         kind=kind, t_grid=ts, values=vals, a0_norms=a0n, a1_norms=a1n, gaps=gaps
     )
@@ -727,7 +697,7 @@ def _power_sandwich(kind, couple, f, p, t_grid):
     conv_vals, _, _, conv_gap, _ = _FUNCTIONALS[kind](conv, fv, ts_root)
     lower = base_vals ** (1.0 / p)
     middle = conv_vals
-    bound = 2.0 ** (1.0 - 1.0 / p)
+    bound = norm_bound(p)
 
     scale = np.maximum(lower, 1e-300)
     hard = SANDWICH_TOL * scale

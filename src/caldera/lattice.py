@@ -241,6 +241,13 @@ def convexify_couple(couple: Couple, p: float) -> Couple:
     )
 
 
+def norm_bound(p: float) -> float:
+    """2^(1-1/p): the constant of the K- and D-power sandwiches of the
+    p-convexified couple, and the operator norm the lift attains on both
+    convexified spaces."""
+    return 2.0 ** (1.0 - 1.0 / p)
+
+
 def is_l1_linf(couple: Couple) -> bool:
     return (
         effective_exponent(couple.norm0) == 1.0

@@ -94,6 +94,25 @@ def test_parse_config_rejects_unknown_keys_and_suites():
             parse_config(f"t_grid = {spec}")
 
 
+def test_config_refuses_a_seed_no_instance_can_take():
+    # instance keys take seeds in [0, 2^64); a wider seed would error every row
+    assert parse_config(f"seed = {2**64 - 1}").seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(DomainError, match=r"^instance seed must lie in \[0, 2\^64\)"):
+            parse_config(f"seed = {seed}")
+    with pytest.raises(DomainError, match="^instance seed must be an integer"):
+        CampaignConfig(seed=1.5)
+
+
+def test_config_refuses_an_empty_p_set_for_a_suite_that_runs_per_p():
+    for suite in ("claim1", "maligranda", "lift-holder"):
+        with pytest.raises(DomainError, match=f"p_set is empty, but suite '{suite}'"):
+            parse_config(f"p_set =\nsuites = sandwich, {suite}")
+    # suites without a p need no p_set
+    cfg = parse_config("p_set =\nsuites = sandwich, minkowski\ninstance_count = 1")
+    assert cfg.p_set == () and len(run_campaign(cfg).rows) == 2
+
+
 def test_campaign_tables_keep_their_order_and_error_texts():
     assert CSV_COLUMNS == (
         "suite", "instance", "seed", "n", "p",

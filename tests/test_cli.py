@@ -110,6 +110,23 @@ def test_campaign_command_exit_status(tmp_path):
     assert report.exists() and jsonout.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 18446744073709551616\n", "instance seed must lie in [0, 2^64)"),
+        ("p_set =\nsuites = claim1\n", "p_set is empty, but suite 'claim1'"),
+    ],
+)
+def test_campaign_command_refuses_a_config_whose_rows_cannot_run(tmp_path, capsys, text, message):
+    # either config used to plan rows that all errored, or none, and exit 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    report = tmp_path / "report.csv"
+    assert main(["campaign", "--config", str(cfg), "--report", str(report)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 

@@ -20,7 +20,7 @@ from caldera import (
     WeightedP,
     generate_instance,
 )
-from caldera import extend
+from caldera import extend, kfunc
 from caldera.extend import (
     LiftResult,
     SublinearMajorant,
@@ -728,6 +728,41 @@ def test_grid_ordered_pair_that_is_not_p_majorized_lifts_by_the_fallback():
     assert not p_majorization_orders(conv, [1.0, 1.0, 1.0], [5.0, 5.0, 5.0])
     with pytest.raises(DomainError, match=r"at t=.* by more than the tolerance"):
         lift_operator(couple, [1.0, 1.0, 1.0], [5.0, 5.0, 5.0], 2.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_perturbed_fallback_pairs_lift_through_one_grid_profile(monkeypatch, seed):
+    # the pair above with |f| grown and |g| shrunk by at most 0.2% an entry,
+    # a common scale, zero padding, and each vector's atoms permuted and
+    # signed apart.  Scale and permutations move neither K nor p-majorization,
+    # and K is monotone in |f|, so the pair stays grid-ordered; g's top two
+    # squares still exceed f's (at least 4.279 against at most 4.248), so the
+    # exact test declines and one K profile of the stack [f, g] decides
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 4
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    pair = []
+    for base, grow in (([1.28, 1.61, 0.48], 1.0), ([0.12, 1.33, 1.59], -1.0)):
+        moduli = np.zeros(n)
+        moduli[:3] = np.array(base) * (1.0 + grow * 0.002 * rng.random(3))
+        pair.append(scale * rng.permutation(moduli) * rng.choice([-1.0, 1.0], size=n))
+    f, g = pair
+    couple = base_couple(n)
+    conv = convexify_couple(couple, 2.0)
+    assert not p_majorization_orders(conv, f, g)
+    stacks = []
+    grid_profile = kfunc.profile
+
+    def counted(kind, c, rows, ts):
+        stacks.append((kind, np.shape(rows)))
+        return grid_profile(kind, c, rows, ts)
+
+    monkeypatch.setattr(kfunc, "profile", counted)
+    lift = lift_operator(couple, f, g, 2.0, audit_samples=500, seed=seed)
+    assert stacks == [("K", (2, n))]
+    assert lift_certified(
+        lift.residual_lf_g, lift.domination_violations, lift.norm_sample_ratios, 2.0
+    )
 
 
 @pytest.mark.parametrize("p", [1025.0, 1100.0, 5000.0])

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-top-level definition is referenced.
+"""Every module of the package uses each name it imports, every top-level
+definition is referenced, and every default of a private function is
+overridden somewhere in the package.
 
 No linter ships with the package, so the standard library's ``ast`` finds
 imported names that never appear in a module's body.  Names listed in a
@@ -7,6 +8,13 @@ module's ``__all__`` count as used: the package re-exports them.  A top-level
 function or class of the package must be referenced outside its own body,
 in the package, its tests or the benchmark, so a dispatch or helper that a
 refactor leaves behind fails the suite.
+
+A private function (one whose name starts with a single underscore, at any
+depth) is called only from inside the package, so a parameter of it that
+has a default must be passed, by keyword or by position, by some call in
+``src/`` outside the function's own body; a call that spreads ``*args`` or
+``**kwargs`` counts as passing every parameter.  A default that no package call overrides is a switch kept
+alive only for tests, which should call the route they mean directly.
 """
 
 from __future__ import annotations
@@ -120,3 +128,83 @@ def test_the_check_sees_a_dead_definition():
     }
     dead = _dead_definitions(sources, {"pkg.py"})
     assert dead == {("pkg", "recursive"), ("pkg", "Dead")}
+
+
+def _private_defaults(tree: ast.Module) -> dict:
+    """name -> {parameter with a default: its position in a call, or None
+    when keyword-only}, for each private function in ``tree``.  Methods other
+    than static ones do not count their bound first parameter."""
+    found = {}
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            first = len(positional) - len(args.defaults)
+            params = {
+                a.arg: i - bound for i, a in enumerate(positional) if i >= first
+            }
+            params.update(
+                {a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+            )
+            if params:
+                found[node.name] = params
+    return found
+
+
+def _passed(node: ast.AST, enclosing: tuple = ()) -> set:
+    """(function name, parameter name or position) for every call under
+    ``node``; a spread argument yields (name, "*").  A call inside the body
+    of a function of the same name, a recursion, passes nothing."""
+    passed = set()
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is not None and name not in enclosing:
+            for i, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            for kw in node.keywords:
+                passed.add((name, "*" if kw.arg is None else kw.arg))
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        passed |= _passed(child, enclosing)
+    return passed
+
+
+def _unpassed_defaults(sources: dict) -> set:
+    """(function, parameter) for each defaulted parameter of a private
+    function that no call in ``sources`` passes."""
+    trees = [ast.parse(text) for text in sources.values()]
+    passed = set().union(*map(_passed, trees))
+    return {
+        (name, param)
+        for tree in trees
+        for name, params in _private_defaults(tree).items()
+        for param, index in params.items()
+        if not {(name, param), (name, index), (name, "*")} & passed
+    }
+
+
+def test_every_private_default_is_passed_by_some_package_call():
+    sources = {str(p): p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unpassed_defaults(sources) == set()
+
+
+def test_the_check_sees_a_default_no_call_passes():
+    sources = {
+        "pkg.py": "def _route(x, solve=False, *, fast=True):\n    return x\n\n"
+        "def _spread(x, step=1):\n    return x\n\n"
+        "def _recursive(x, depth=0):\n    return _recursive(x, depth + 1)\n\n"
+        "class Box:\n    def _make(self, x, scale=1.0):\n        return x\n\n"
+        "def public(x, mode=0):\n    return x\n\n"
+        "def run(box, extra):\n"
+        "    _route(1, fast=False)\n    _spread(1, **extra)\n    box._make(1, 2.0)\n",
+    }
+    assert _unpassed_defaults(sources) == {("_route", "solve"), ("_recursive", "depth")}

@@ -157,12 +157,12 @@ def oracle_k_sup_side(weights, a, p0, t):
 
 
 def reference_k_truncation(w, a, p0, ts):
-    """The truncation-level solve as one batched Newton loop from c = 0.
+    """The truncation-level solve of one vector as a Newton loop from c = 0.
 
     The route the piece-bracketed solve replaced, kept as its reference: every
-    (vector, t) problem starts on the bracket [0, max a] and takes Newton
-    steps in c that bisect when they leave it, with the same dual-pairing
-    certificate and gap check.
+    t starts on the bracket [0, max a] and takes Newton steps in c that
+    bisect when they leave it, with the same dual-pairing certificate and
+    gap check.
     """
     stack = a.reshape(-1, a.shape[-1])
     size = ts.size
@@ -229,9 +229,7 @@ def reference_k_truncation(w, a, p0, ts):
     result = np.empty((4, done.shape[1]))
     result[:, done[15].astype(np.intp)] = done[11:15]
     best, levels, a0n, lower = result
-    gaps = kfunc._certified_gaps(best, lower, ts, a.ndim == 2)
-    shape = a.shape[:-1] + ts.shape
-    return best.reshape(shape), levels.reshape(shape), a0n.reshape(shape), gaps.reshape(shape)
+    return best, levels, a0n, kfunc._certified_gaps(best, lower, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +340,14 @@ def test_k_numeric_matches_exact_on_l1_linf():
         f = _rand_f(rng, n)
         t = float(10.0 ** rng.uniform(-3, 3))
         exact, _ = k_exact_l1_linf(sp, f, t)
+        # k_numeric is the table's entry on [t]: the closed form itself
         approx, dec = k_numeric(couple, f, t)
-        assert approx == pytest.approx(exact, rel=1e-6, abs=1e-12)
+        assert approx == exact
         assert check_decomposition(f, dec)
+        # the truncation-level solve at p0 = 1 is the independent route
+        solved, _, _, gap = _k_truncation(sp.weights, np.abs(f), 1.0, np.array([t]))
+        assert solved[0] == pytest.approx(exact, rel=1e-6, abs=1e-12)
+        assert solved[0] - gap[0] <= exact * (1 + 1e-12)
 
 
 def test_k_numeric_elementary_upper_bounds():
@@ -414,7 +417,7 @@ def test_k_numeric_certificate_bounds_d_exact():
         )
         f = _rand_f(rng, n)
         t = float(10.0 ** rng.uniform(-2, 2))
-        value, _, gap = kfunc._at_t("K", couple, f, t, solve=True)
+        value, _, gap = kfunc._at_t("K", couple, f, t)
         dval, _ = d_exact(couple, f, t)
         assert value - gap <= dval * (1 + 1e-9) + 1e-12
 
@@ -470,44 +473,24 @@ def _sup_side_stack(rng, i):
     return w, stack
 
 
-def test_batched_truncation_rows_match_one_vector_solves():
-    rng = np.random.default_rng(79)
-    exponents = (1.001, 1.01, 1.5, 2.0, 3.0, 6.0, 40.0, 120.0)
-    for i in range(1000):
-        w, stack = _sup_side_stack(rng, i)
-        p0 = exponents[i % len(exponents)]
-        ts = np.unique(10.0 ** rng.uniform(-5, 5, size=6))
-        vals, levels, a0n, gaps = _k_truncation(w, stack, p0, ts)
-        assert vals.shape == levels.shape == a0n.shape == gaps.shape == (len(stack), ts.size)
-        assert np.all(gaps <= kfunc.TRUNCATION_REL_GAP * vals)
-        for row, value, level, n_c in zip(stack, vals, levels, a0n):
-            one = _k_truncation(w, row, p0, ts)
-            # dgemv may block a stack's rows differently from one vector
-            assert np.all(np.abs(value - one[0]) <= 2e-15 * one[0])
-            assert np.all(one[3] <= kfunc.TRUNCATION_REL_GAP * one[0])
-            # phi is flat near its minimum, so the level itself may move
-            assert np.all((0.0 <= level) & (level <= row.max(initial=0.0)))
-            assert np.allclose(n_c + ts * level, value, rtol=1e-15, atol=0.0)
-        assert np.all(vals[np.all(stack == 0.0, axis=1)] == 0.0)
-
-
-def test_batched_truncation_matches_bounded_scipy_oracle():
+def test_truncation_rows_of_stacked_draws_match_bounded_scipy_oracle():
     rng = np.random.default_rng(83)
     for i in range(60):
         w, stack = _sup_side_stack(rng, i)
         p0 = float(rng.choice(SUP_SIDE_EXPONENTS[1:]))
         ts = np.sort(10.0 ** rng.uniform(-6, 6, size=3))
-        vals, _, _, gaps = _k_truncation(w, stack, p0, ts)
-        for row, row_vals, row_gaps in zip(stack, vals, gaps):
-            for t, value, gap in zip(ts, row_vals, row_gaps):
+        for row in stack:
+            vals, _, _, gaps = _k_truncation(w, row, p0, ts)
+            for t, value, gap in zip(ts, vals, gaps):
                 expected = oracle_k_sup_side(w, row, p0, t)
                 assert value <= expected * (1 + 4e-15)
                 assert value - gap <= expected * (1 + 4e-15)
 
 
 def test_piece_bracketed_truncation_matches_the_newton_loop_and_the_oracle():
-    # stacks with ties, zeros, an all-zero row, n = 1 and weights 10^(+-6),
-    # against the loop it replaced and against scipy's bounded minimisation
+    # the rows of stacks with ties, zeros, an all-zero row, n = 1 and weights
+    # 10^(+-6), against the loop it replaced and against scipy's bounded
+    # minimisation
     rng = np.random.default_rng(113)
     exponents = (1.0, 1.001, 1.01, 1.5, 2.0, 3.0, 6.0, 40.0, 120.0)
     for i in range(400):
@@ -515,15 +498,18 @@ def test_piece_bracketed_truncation_matches_the_newton_loop_and_the_oracle():
         w = 10.0 ** rng.uniform(-6, 6, size=w.size) if i % 2 else w
         p0 = exponents[i % len(exponents)]
         ts = np.unique(10.0 ** rng.uniform(-6, 6, size=5))
-        vals, levels, a0n, gaps = _k_truncation(w, stack, p0, ts)
-        ref = reference_k_truncation(w, stack, p0, ts)
-        assert np.all(np.abs(vals - ref[0]) <= 2e-15 * ref[0]), (i, p0)
-        assert np.all(gaps <= kfunc.TRUNCATION_REL_GAP * vals), (i, p0)
-        assert np.all((0.0 <= levels) & (levels <= stack.max(axis=1, keepdims=True)))
-        assert np.allclose(a0n + ts * levels, vals, rtol=1e-15, atol=0.0)
-        if i % 5 == 0:
-            for row, row_vals, row_gaps in zip(stack, vals, gaps):
-                for t, value, gap in zip(ts, row_vals, row_gaps):
+        for row in stack:
+            vals, levels, a0n, gaps = _k_truncation(w, row, p0, ts)
+            ref = reference_k_truncation(w, row, p0, ts)
+            assert np.all(np.abs(vals - ref[0]) <= 2e-15 * ref[0]), (i, p0)
+            assert np.all(gaps <= kfunc.TRUNCATION_REL_GAP * vals), (i, p0)
+            # phi is flat near its minimum, so the level itself may move
+            assert np.all((0.0 <= levels) & (levels <= row.max(initial=0.0)))
+            assert np.allclose(a0n + ts * levels, vals, rtol=1e-15, atol=0.0)
+            if not row.any():
+                assert np.all(vals == 0.0)
+            if i % 5 == 0:
+                for t, value, gap in zip(ts, vals, gaps):
                     expected = oracle_k_sup_side(w, row, p0, t)
                     assert value <= expected * (1 + 4e-15)
                     assert value - gap <= expected * (1 + 4e-15)
@@ -531,16 +517,17 @@ def test_piece_bracketed_truncation_matches_the_newton_loop_and_the_oracle():
 
 @pytest.mark.parametrize("block", [1, 100, 500])
 def test_truncation_levels_evaluated_in_blocks_give_the_same_solve(monkeypatch, block):
-    # LEVEL_BLOCK bounds the level evaluation's memory; a stack whose levels
+    # LEVEL_BLOCK bounds the level evaluation's memory; a vector whose levels
     # span several blocks solves as in one
     rng = np.random.default_rng(127)
     w, stack = _sup_side_stack(rng, 3)
+    w, a = np.tile(w, len(stack)), stack.ravel()
     ts = default_t_grid()
-    one = _k_truncation(w, stack, 1.5, ts)
+    one = _k_truncation(w, a, 1.5, ts)
     monkeypatch.setattr(kfunc, "LEVEL_BLOCK", block)
-    split = _k_truncation(w, stack, 1.5, ts)
+    split = _k_truncation(w, a, 1.5, ts)
     # each block holds block // n levels, so the levels span several blocks
-    assert stack.size > 2 * max(block // stack.shape[1], 1)
+    assert np.count_nonzero(a < a.max()) > 2 * max(block // a.size, 1)
     assert np.all(np.abs(split[0] - one[0]) <= 2e-15 * one[0])
     assert np.all(split[3] <= kfunc.TRUNCATION_REL_GAP * split[0])
 
@@ -564,15 +551,8 @@ def test_profile_of_a_stack_matches_profiles_of_its_rows(kind):
     for route, couple in _route_couples(sp).items():
         prof = profile(kind, couple, stack, ts)
         assert prof.values.shape == (4, ts.size), route
-        batched = kind == "K" and route in ("truncation", "sup-lp swap")
         for i, row in enumerate(stack):
             one = profile(kind, couple, row, ts)
-            if batched:
-                assert np.all(np.abs(prof.values[i] - one.values) <= 2e-15 * one.values)
-                assert np.allclose(
-                    prof.a0_norms[i] + ts * prof.a1_norms[i], prof.values[i], rtol=1e-14
-                )
-                continue
             for got, want in zip(
                 (prof.values, prof.a0_norms, prof.a1_norms, prof.gaps),
                 (one.values, one.a0_norms, one.a1_norms, one.gaps),
@@ -593,13 +573,28 @@ def test_profile_of_a_stack_checks_each_row():
         k_order_dominates(couple, [1.0, 2.0, 3.0], [1.0, math.inf, 0.0], ts)
 
 
+def _failure_in_a_stack_names_the_row(couple, row):
+    # row 0 is zero and certifies without a step; row 1 at t = 1.3 needs one
+    ts = [0.5, 1.3, 4.0]
+    with pytest.raises(NumericalFailure) as alone:
+        profile("K", couple, row, ts)
+    with pytest.raises(NumericalFailure, match=r"^row 1: K solve at t = 1\.3 .* gap ") as info:
+        profile("K", couple, [[0.0, 0.0, 0.0], row], ts)
+    assert str(info.value) == f"row 1: {alone.value}"
+    assert (info.value.best_value, info.value.gap) == (alone.value.best_value, alone.value.gap)
+    assert info.value.gap > kfunc.SOLVER_REL_GAP * info.value.best_value
+
+
 def test_truncation_failure_in_a_stack_names_the_row(monkeypatch):
     monkeypatch.setattr(kfunc, "TRUNCATION_MAX_ITER", 0)
     couple = Couple(space=_uniform(3), norm0=WeightedP(2.0), norm1=WeightedP(INF))
-    stack = [[0.0, 0.0, 0.0], [3.0, 1.0, 2.0]]
-    with pytest.raises(NumericalFailure, match=r"of row 1 at t = 1\.3 .* gap ") as info:
-        profile("K", couple, stack, [0.5, 1.3, 4.0])
-    assert info.value.gap > kfunc.SOLVER_REL_GAP * info.value.best_value
+    _failure_in_a_stack_names_the_row(couple, [3.0, 1.0, 2.0])
+
+
+def test_multiplier_failure_in_a_stack_names_the_row(monkeypatch):
+    monkeypatch.setattr(kfunc, "TRUNCATION_MAX_ITER", 0)
+    couple = Couple(space=_uniform(3), norm0=WeightedP(1.0), norm1=WeightedP(2.0))
+    _failure_in_a_stack_names_the_row(couple, [4.0, -1.0, 0.25])
 
 
 def test_truncation_route_closed_forms():
@@ -776,10 +771,10 @@ def test_finite_pair_closed_forms():
         t_lo = 1.0 / float(dual_p_norm(sp.weights, grad1, p0))
         assert t_lo < t_hi
         for t in (t_hi, 2.0 * t_hi, 1e3 * t_hi):
-            value, _, gap = kfunc._at_t("K", couple, f, t, solve=True)
+            value, _, gap = kfunc._at_t("K", couple, f, t)
             assert value == pytest.approx(n0, rel=1e-15) and gap <= 1e-15 * value
         for t in (t_lo, 0.5 * t_lo, 1e-3 * t_lo):
-            value, _, gap = kfunc._at_t("K", couple, f, t, solve=True)
+            value, _, gap = kfunc._at_t("K", couple, f, t)
             assert value == pytest.approx(t * n1, rel=1e-15) and gap <= 1e-15 * value
         # one atom: min(w^(1/p0), t w^(1/p1)) |f|
         single = replace(couple, space=MeasureSpace([7.0]))
@@ -794,14 +789,14 @@ def test_finite_pair_k_numeric_splits_and_swap_symmetry():
         couple, a = _finite_pair_draw(rng, i)
         f = a * rng.choice([-1.0, 1.0], size=a.size)
         t = float(10.0 ** rng.uniform(-3, 3))
-        value, dec, gap = kfunc._at_t("K", couple, f, t, solve=True)
+        value, dec, gap = kfunc._at_t("K", couple, f, t)
         assert check_decomposition(f, dec)
         assert np.all(dec.a0.values * f >= 0.0)
         assert np.all(np.abs(dec.a0.values) <= np.abs(f))
         recombined = norm(couple.norm0, dec.a0) + t * norm(couple.norm1, dec.a1)
         assert recombined == pytest.approx(value, rel=1e-13, abs=1e-300)
         swapped = Couple(space=couple.space, norm0=couple.norm1, norm1=couple.norm0)
-        other, _, other_gap = kfunc._at_t("K", swapped, f, 1.0 / t, solve=True)
+        other, _, other_gap = kfunc._at_t("K", swapped, f, 1.0 / t)
         assert abs(value - t * other) <= gap + t * other_gap + 4e-16 * value
 
 
@@ -998,26 +993,26 @@ def test_profile_convexified_couple_uses_truncation_route():
 
 @pytest.mark.parametrize("kind", ["K", "D"])
 def test_table_moduli_split_f_at_every_grid_point(kind):
-    # the fifth output of the table, per row and t, rebuilds a split whose
-    # norms are the table's own, on every exponent shape and a stack
+    # the fifth output of the table, per t, rebuilds a split whose norms are
+    # the table's own, on every exponent shape
     rng = np.random.default_rng(113)
     ts = np.array([0.01, 0.3, 1.0, 7.0, 200.0])
     shapes = ((1.0, INF), (INF, 1.0), (2.0, INF), (INF, 3.0), (1.5, 2.5), (2.0, 2.0), (INF, INF))
     for p0, p1 in shapes:
         sp = _rand_space(rng, 6)
         couple = Couple(space=sp, norm0=WeightedP(p0), norm1=WeightedP(p1))
-        stack = np.stack([_rand_f(rng, 6, scale=1.0), _rand_f(rng, 6, scale=1.0)])
-        vals, a0n, a1n, _, u = kfunc._FUNCTIONALS[kind](couple, stack, ts)
-        assert u.shape == (2, ts.size, 6)
-        for r, i in itertools.product(range(2), range(ts.size)):
-            dec = kfunc._split_from_modulus(sp, stack[r], u[r, i])
-            n0, n1 = norm(couple.norm0, dec.a0), norm(couple.norm1, dec.a1)
-            assert check_decomposition(stack[r], dec)
-            assert n0 == pytest.approx(a0n[r, i], rel=1e-12, abs=1e-300), (p0, p1, r, i)
-            assert n1 == pytest.approx(a1n[r, i], rel=1e-12, abs=1e-300), (p0, p1, r, i)
-            assert n0 + ts[i] * n1 == pytest.approx(vals[r, i], rel=1e-12)
-            if kind == "D":
-                assert dec.is_disjoint()
+        for f in (_rand_f(rng, 6, scale=1.0), _rand_f(rng, 6, scale=1.0)):
+            vals, a0n, a1n, _, u = kfunc._FUNCTIONALS[kind](couple, f, ts)
+            assert u.shape == (ts.size, 6)
+            for i in range(ts.size):
+                dec = kfunc._split_from_modulus(sp, f, u[i])
+                n0, n1 = norm(couple.norm0, dec.a0), norm(couple.norm1, dec.a1)
+                assert check_decomposition(f, dec)
+                assert n0 == pytest.approx(a0n[i], rel=1e-12, abs=1e-300), (p0, p1, i)
+                assert n1 == pytest.approx(a1n[i], rel=1e-12, abs=1e-300), (p0, p1, i)
+                assert n0 + ts[i] * n1 == pytest.approx(vals[i], rel=1e-12)
+                if kind == "D":
+                    assert dec.is_disjoint()
 
 
 def test_k_values_takes_the_closed_form_on_l1_linf():
