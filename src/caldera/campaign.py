@@ -27,7 +27,8 @@ from .kfunc import (
     default_t_grid,
     parse_t_grid,
 )
-from .lattice import INF, MeasureSpace, lub, power_vector, signed_log_uniform, vector
+from .lattice import MeasureSpace, convexification_exponent, lub, power_vector, vector
+from .lattice import signed_log_uniform
 from .majorize import MatrixOperator
 
 P_DEPENDENT_SUITES = frozenset({"claim1", "maligranda", "lift-holder"})
@@ -57,8 +58,7 @@ class CampaignConfig:
         if len(set(self.suites)) != len(self.suites):
             raise DomainError("duplicate suite names in config")
         for p in self.p_set:
-            if not (1.0 < p < INF):
-                raise DomainError(f"p_set values must lie in (1, inf), got {p}")
+            convexification_exponent(p)
         needs_p = [s for s in self.suites if s in P_DEPENDENT_SUITES]
         if needs_p and not self.p_set:
             raise DomainError(f"p_set is empty, but suite {needs_p[0]!r} runs once per p")
@@ -182,7 +182,7 @@ def _run_lift(config, index, p):
         inst.g,
         p,
         audit_samples=1000,
-        seed=(config.seed << 16) + index,
+        seed=_philox_key(config.seed, index, 0),
     )
     violations = lift_violations(
         result.residual_lf_g,

@@ -40,6 +40,7 @@ from .lattice import (
     Couple,
     LatticeVector,
     check_audit_budget,
+    convexification_exponent,
     convexify_couple,
     dual_p_norm,
     effective_exponent,
@@ -109,8 +110,7 @@ class SublinearMajorant:
             raise DomainError("majorant requires a positive operator")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError("alpha must be a positive real")
-        if not (1.0 < self.p < INF):
-            raise DomainError("exponent must lie in (1, inf)")
+        convexification_exponent(self.p)
 
     def row_weights(self, i: int) -> np.ndarray:
         return self.alpha * self.operator.entries[i]
@@ -489,8 +489,7 @@ def lift_operator(
         raise DomainError("lifting requires the unweighted (l1, sup) base couple")
     if method not in ("holder", "greedy"):
         raise DomainError(f"unknown extension method: {method!r}")
-    if not (1.0 < p < INF):
-        raise DomainError("exponent must lie in (1, inf)")
+    convexification_exponent(p)
     alpha = default_alpha(p)
     space = couple.space
     fv = values_of(f)

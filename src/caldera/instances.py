@@ -25,6 +25,7 @@ from .lattice import (
     MeasureSpace,
     NormSpec,
     WeightedP,
+    convexification_exponent,
     convexify_couple,
 )
 
@@ -98,8 +99,7 @@ def generate_instance(
     """Draw one instance; ordering, when requested, is verified, not assumed."""
     if n < 1:
         raise DomainError("instance size must be at least 1")
-    if not (1.0 < p < INF):
-        raise DomainError("exponent must lie in (1, inf)")
+    convexification_exponent(p)
     rng = payload_rng(seed, index)
     if uniform_weights:
         weights = np.ones(n)

@@ -26,12 +26,15 @@ are its one-point grid, and profiles and the sandwich checks select by kind
 through it.  The truncation-level solve evaluates every level of the vector
 once, then runs one Newton loop over the t still open, and the multiplier
 solve one loop over the grid.  ``profile`` also takes an (m, n) stack and is
-the one place that splits a stack into rows; a failed solve names its row.
+the one place that splits a stack into rows; a failed solve or an overflow
+names its row.
 
 The inequality checks at the bottom compare these routes against each other
-and against the constants that control p-convexification.  The K-ordering
-decision is made once, by ``k_order_failure``: exact p-majorization first,
-one validated profile of the stack [f, g] as the fallback.
+and against the constants that control p-convexification.  K <= D <= 2K
+and the two power sandwiches share one comparison, ``_sandwich``, and one
+``SandwichReport``.  The K-ordering decision is made once, by
+``k_order_failure``: exact p-majorization first, one validated profile of
+the stack [f, g] as the fallback.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ from .lattice import (
     LatticeVector,
     MeasureSpace,
     WeightedP,
+    convexification_exponent,
     convexify_couple,
     dual_p_norm,
     effective_exponent,
     is_l1_linf,
+    is_real,
     norm_bound,
     values_of,
     vector,
@@ -105,9 +110,7 @@ def parse_t_grid(spec: str) -> tuple:
 
 
 def _positive_t(t) -> float:
-    # bools are ints to Python, and numpy scalars need not subclass int/float
-    real = isinstance(t, (int, float, np.integer, np.floating)) and not isinstance(t, bool)
-    if not (real and math.isfinite(t) and t > 0.0):
+    if not (is_real(t) and math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be a positive real, got {t!r}")
     return float(t)
 
@@ -565,11 +568,12 @@ class KProfile:
 
 def _validate_profile(prof: KProfile):
     ts, vs = prof.t_grid, prof.values
-    # an overflowing input, not a broken solver: name the first t it reaches
-    broken = ~np.isfinite(vs).reshape(-1, ts.size).all(axis=0)
-    if broken.any():
-        t = ts[np.argmax(broken)]
-        raise DomainError(f"{prof.kind} profile overflows: not finite at t = {t:g}")
+    # an overflowing input, not a broken solver: name its first row and t
+    broken = np.argwhere(~np.isfinite(vs.reshape(-1, ts.size)))
+    if broken.size:
+        row, j = broken[0]
+        where = f"row {row}: " if vs.ndim == 2 else ""
+        raise DomainError(f"{where}{prof.kind} profile overflows: not finite at t = {ts[j]:g}")
     scale = np.maximum(np.max(vs, axis=-1, keepdims=True, initial=0.0), 1e-300)
     slack = PROFILE_TOL * scale + 1e-15
     if np.any(np.diff(vs) < -slack):
@@ -592,7 +596,8 @@ def profile(kind: str, couple: Couple, f, t_grid) -> KProfile:
     ``f`` is one vector, giving arrays over the grid, or an (m, n) stack,
     giving (m, T) arrays whose row i belongs to f[i]; every row is validated.
     Each row of a stack goes through the table alone, and a solve that fails
-    on row i raises its ``NumericalFailure`` with "row i: " prefixed.
+    on row i raises its ``NumericalFailure`` with "row i: " prefixed; an
+    overflow raises ``DomainError`` naming its first row the same way.
     """
     if kind not in _FUNCTIONALS:
         raise DomainError(f"profile kind must be 'K' or 'D', got {kind!r}")
@@ -625,120 +630,90 @@ def profile(kind: str, couple: Couple, f, t_grid) -> KProfile:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Outcome of the K <= D <= 2K comparison over a grid."""
+    """Outcome of lower[i] <= middle[i] <= bound * lower[i] over a grid.
 
-    ok: bool
-    t_grid: np.ndarray
-    k_values: np.ndarray
-    d_values: np.ndarray
-    max_ratio: float
-    violations: tuple
-
-
-def check_k_d_sandwich(couple: Couple, f, t_grid=None):
-    ts = _as_grid(t_grid)
-    fv = values_of(f, couple.space.n)
-    kv, _, _, gaps, _ = _FUNCTIONALS["K"](couple, fv, ts)
-    dv = _FUNCTIONALS["D"](couple, fv, ts)[0]
-    slack = SANDWICH_TOL * np.maximum(kv, 1e-300) + gaps
-    below, above = dv < kv - slack, dv > 2.0 * kv + 2.0 * slack
-    violations = []
-    for i in np.flatnonzero(below | above):
-        if below[i]:
-            violations.append((float(ts[i]), "D below K", float(kv[i] - dv[i])))
-        if above[i]:
-            violations.append((float(ts[i]), "D above 2K", float(dv[i] - 2.0 * kv[i])))
-    # fail closed: every comparison with a NaN is False
-    if not (np.all(np.isfinite(kv)) and np.all(np.isfinite(dv))):
-        violations.append((float("nan"), "non-finite value", math.inf))
-    ratios = np.where(kv > 0.0, dv / np.where(kv > 0, kv, 1.0), 1.0)
-    return SandwichReport(
-        ok=not violations,
-        t_grid=ts,
-        k_values=kv,
-        d_values=dv,
-        max_ratio=float(np.max(ratios, initial=1.0)),
-        violations=tuple(violations),
-    )
-
-
-@dataclass(frozen=True)
-class PowerSandwichReport:
-    """Two-sided comparison of a functional against its convexified twin.
-
-    lower[i] <= middle[i] <= bound * lower[i] is the claim; entries of
-    ``violations`` broke it beyond all tolerances, entries of
-    ``solver_flags`` broke it by less than the certified solver gap and are
-    therefore inconclusive rather than counterexamples.
+    K <= D <= 2K has lower K, middle D and bound 2.  The power sandwiches
+    have lower F(t, |f|^p)^(1/p), middle F(t^(1/p), f) on the convexified
+    couple and bound 2^(1-1/p), for F = K or D.  Entries (t, side, break) of
+    ``violations`` broke a side beyond all tolerances, and a value that is
+    not finite adds (nan, "non-finite value", inf).  Entries (t, break) of
+    ``solver_flags`` broke it past SANDWICH_TOL but within the certified
+    solver gaps: inconclusive, not counterexamples.  ``max_ratio`` is the
+    largest middle / lower over the t with lower > 0.
     """
 
     ok: bool
-    kind: str
-    p: float
-    bound: float
     t_grid: np.ndarray
     lower: np.ndarray
     middle: np.ndarray
+    bound: float
     max_ratio: float
     violations: tuple
     solver_flags: tuple
     corollary_ok: bool = True
 
 
-def _power_sandwich(kind, couple, f, p, t_grid):
-    ts = _as_grid(t_grid)
-    if not (math.isfinite(p) and p > 1.0):
-        raise DomainError("convexification exponent must lie in (1, inf)")
-    fv = values_of(f, couple.space.n)
-    powered = np.abs(fv) ** p
-    conv = convexify_couple(couple, p)
-    ts_root = ts ** (1.0 / p)
-    base_vals, _, _, base_gap, _ = _FUNCTIONALS[kind](couple, powered, ts)
-    conv_vals, _, _, conv_gap, _ = _FUNCTIONALS[kind](conv, fv, ts_root)
-    lower = base_vals ** (1.0 / p)
-    middle = conv_vals
-    bound = norm_bound(p)
-
-    scale = np.maximum(lower, 1e-300)
-    hard = SANDWICH_TOL * scale
-    soft = hard + base_gap + conv_gap
-    low_break, high_break = lower - middle, middle - bound * lower
-    # Python's max: the second only when it is larger, so a NaN second loses
-    worst = np.where(high_break > low_break, high_break, low_break)
-    broken, flagged = worst > soft, worst > hard
+def _sandwich(ts, lower, middle, bound, hard, soft, sides) -> SandwichReport:
+    """The one comparison of the three sandwich checks.  ``hard`` and ``soft``
+    are tolerances on the breaks lower - middle (row 0) and middle - bound *
+    lower (row 1), whose labels are ``sides``: (2, T) arrays, or (T,) arrays
+    for both sides.  A break past soft is a violation, one past hard only a
+    solver flag; a NaN break is neither, and a non-finite value fails closed
+    through its own entry."""
+    breaks = np.array([lower - middle, middle - bound * lower])
+    broken = breaks > soft
+    flagged = (breaks > hard) & ~broken
+    # entries in t order, the lower side first at each t
     violations = [
-        (float(ts[i]), "below lower" if low_break[i] >= high_break[i] else "above upper",
-         float(worst[i]))
-        for i in np.flatnonzero(broken)
+        (float(ts[i]), sides[s], float(breaks[s, i])) for i, s in zip(*broken.T.nonzero())
     ]
-    flags = [(float(ts[i]), float(worst[i])) for i in np.flatnonzero(flagged & ~broken)]
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(middle))):
+    flags = [(float(ts[i]), float(breaks[s, i])) for i, s in zip(*flagged.T.nonzero())]
+    if not (np.isfinite(lower).all() and np.isfinite(middle).all()):
         violations.append((float("nan"), "non-finite value", math.inf))
-    ratios = np.where(lower > 0.0, middle / scale, 1.0)
-    return PowerSandwichReport(
-        ok=not violations,
-        kind=kind,
-        p=float(p),
-        bound=bound,
-        t_grid=ts,
-        lower=lower,
-        middle=middle,
-        max_ratio=float(np.max(ratios, initial=1.0)),
-        violations=tuple(violations),
-        solver_flags=tuple(flags),
+    ratios = np.divide(middle, lower, out=np.ones_like(middle), where=lower > 0.0)
+    return SandwichReport(
+        ok=not violations, t_grid=ts, lower=lower, middle=middle, bound=bound,
+        max_ratio=float(ratios.max(initial=1.0)),
+        violations=tuple(violations), solver_flags=tuple(flags),
     )
 
 
-def check_d_power_sandwich(
-    couple: Couple, f, p: float, t_grid=None
-) -> PowerSandwichReport:
+def check_k_d_sandwich(couple: Couple, f, t_grid=None) -> SandwichReport:
+    """K(t, f) <= D(t, f) <= 2 K(t, f) over the grid.  The lower side allows
+    SANDWICH_TOL K plus the certified K gap, the upper side twice that."""
+    ts = _as_grid(t_grid)
+    fv = values_of(f, couple.space.n)
+    kv, _, _, gaps, _ = _FUNCTIONALS["K"](couple, fv, ts)
+    dv = _FUNCTIONALS["D"](couple, fv, ts)[0]
+    scale = SANDWICH_TOL * np.maximum(kv, 1e-300)
+    hard, soft = np.array([scale, 2.0 * scale]), np.array([scale + gaps, 2.0 * (scale + gaps)])
+    return _sandwich(ts, kv, dv, 2.0, hard, soft, ("D below K", "D above 2K"))
+
+
+def _power_sandwich(kind, couple, f, p, t_grid) -> SandwichReport:
+    """F(t, |f|^p)^(1/p) <= F(t^(1/p), f; convexified) <= 2^(1-1/p) times it,
+    each side up to SANDWICH_TOL plus both certified gaps.  The base gap is
+    on F(t, |f|^p), so it enters in root units, lower - (base - gap)^(1/p),
+    capped at the gap itself."""
+    ts = _as_grid(t_grid)
+    p = convexification_exponent(p)
+    fv = values_of(f, couple.space.n)
+    base, _, _, base_gap, _ = _FUNCTIONALS[kind](couple, np.abs(fv) ** p, ts)
+    conv = convexify_couple(couple, p)
+    middle, _, _, conv_gap, _ = _FUNCTIONALS[kind](conv, fv, ts ** (1.0 / p))
+    lower = base ** (1.0 / p)
+    root_gap = np.minimum(lower - np.maximum(base - base_gap, 0.0) ** (1.0 / p), base_gap)
+    hard = SANDWICH_TOL * np.maximum(lower, 1e-300)
+    soft = hard + root_gap + conv_gap
+    return _sandwich(ts, lower, middle, norm_bound(p), hard, soft, ("below lower", "above upper"))
+
+
+def check_d_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> SandwichReport:
     """D(t, |f|^p)^(1/p) <= D(t^(1/p), f; convexified) <= 2^(1-1/p) times it."""
     return _power_sandwich("D", couple, f, p, t_grid)
 
 
-def check_k_power_sandwich(
-    couple: Couple, f, p: float, t_grid=None
-) -> PowerSandwichReport:
+def check_k_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> SandwichReport:
     """Same two-sided comparison for K, with the certified gaps of both K
     solves added to the tolerance.
 
@@ -747,10 +722,8 @@ def check_k_power_sandwich(
     with room to spare.
     """
     report = _power_sandwich("K", couple, f, p, t_grid)
-    k_base = report.lower ** p
-    k_conv_p = report.middle ** p
-    scale = np.maximum(k_base, 1e-300)
-    slack = SANDWICH_TOL * scale
+    k_base, k_conv_p = report.lower ** p, report.middle ** p
+    slack = SANDWICH_TOL * np.maximum(k_base, 1e-300)
     corollary_ok = bool(
         np.all(k_base <= 2.0 ** p * k_conv_p + slack)
         and np.all(2.0 ** p * k_conv_p <= 2.0 ** (2.0 * p) * k_base + 2.0 ** p * slack)

@@ -110,20 +110,28 @@ class Convexified:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise DomainError(
-                f"convexification exponent must lie in (1, inf), got {self.p}"
-            )
+        object.__setattr__(self, "p", convexification_exponent(self.p))
 
 
 NormSpec = WeightedP | Convexified
 
 
+def is_real(x) -> bool:
+    """A Python or numpy int or float, but not a bool (an int to Python)."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def convexification_exponent(p) -> float:
+    """p as a float; a DomainError unless p is a real in (1, inf).  Every
+    convexification exponent of the package is checked here."""
+    if not (is_real(p) and 1.0 < p < INF):
+        raise DomainError(f"convexification exponent must lie in (1, inf), got {p!r}")
+    return float(p)
+
+
 def convexify(spec: NormSpec, p: float) -> Convexified:
     """Wrap a norm in a p-convexification layer, p in (1, inf)."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
-        raise DomainError(f"convexification exponent must lie in (1, inf), got {p}")
-    return Convexified(base=spec, p=float(p))
+    return Convexified(base=spec, p=p)
 
 
 def effective_exponent(spec: NormSpec) -> float:

@@ -199,6 +199,27 @@ def test_lift_rows_count_a_nan_certificate_as_a_violation(monkeypatch):
     assert row.violations == 2
 
 
+def test_lift_audit_seeds_are_distinct_across_configs(monkeypatch):
+    # (seed << 16) + index gave seed 0 row 65536 and seed 1 row 0 the same
+    # audit seed; the instance key of (seed, index) is unique to the pair
+    import caldera.campaign as camp
+    from caldera.instances import _philox_key
+
+    seeds = []
+    lift = camp.lift_operator
+
+    def recording_lift(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(camp, "lift_operator", recording_lift)
+    for seed, index in ((0, 65536), (1, 0)):
+        config = CampaignConfig(seed=seed, n_min=2, n_max=3, suites=("lift-holder",))
+        camp._run_lift(config, index, 2.0)
+    assert seeds == [_philox_key(0, 65536, 0), _philox_key(1, 0, 0)]
+    assert seeds[0] != seeds[1]
+
+
 def test_reports_are_deterministic_modulo_runtime(tmp_path):
     cfg = CampaignConfig(
         seed=9,

@@ -1106,11 +1106,15 @@ def test_an_overflowing_profile_is_a_domain_error_naming_the_first_t(kind):
         first = ts[np.argmax(~np.isfinite(values))]
         with pytest.raises(DomainError, match=f"^{kind} profile overflows") as info:
             profile(kind, couple, f, ts)
-        # a stack names the first t where any of its rows is not finite
+        # a stack names the first row that is not finite, and that row's t,
+        # the way a failed solve names its row
         with pytest.raises(DomainError) as stacked:
             profile(kind, couple, np.stack([f / 1e10, f]), ts)
+        with pytest.raises(DomainError) as first_row:
+            profile(kind, couple, np.stack([f, f / 1e10, f]), ts)
     assert f"t = {first:g}" in str(info.value)
-    assert str(stacked.value) == str(info.value)
+    assert str(stacked.value) == f"row 1: {info.value}"
+    assert str(first_row.value) == f"row 0: {info.value}"
 
 
 def test_check_d_power_sandwich_frozen_example():
@@ -1177,6 +1181,62 @@ def test_k_power_sandwich_reports_a_shrunk_k_as_a_violation(monkeypatch):
     assert {side for _, side, _ in report.violations} == {"below lower"}
 
 
+def _fixed_k_table(couple, base, base_gap, middle):
+    """A K table on a one-point grid: base with gap base_gap on ``couple``,
+    middle with gap 0 on any other couple."""
+
+    def table(c, fv, ts):
+        vals, gap = (base, base_gap) if c is couple else (middle, 0.0)
+        return np.array([vals]), np.zeros(1), np.zeros(1), np.array([gap]), None
+
+    return table
+
+
+def test_k_power_sandwich_takes_the_base_gap_in_root_units(monkeypatch):
+    # K(1, |f|^3) = 1000 with certified gap 1e-3 puts K in [999.999, 1000]
+    # and its cube root in [9.9999967, 10]; a middle 1e-4 below 10 lies
+    # 9.7e-5 below that range.  Added in K's own units the gap (1e-3) made
+    # it a solver flag; in root units (3.3e-6) it is a violation
+    couple = l1_linf_couple(_uniform(3))
+    lower = 1000.0 ** (1.0 / 3.0)
+    f, ts = [3.0, 2.0, 1.0], [1.0]
+    table = _fixed_k_table(couple, 1000.0, 1e-3, lower * (1.0 - 1e-5))
+    monkeypatch.setitem(kfunc._FUNCTIONALS, "K", table)
+    report = check_k_power_sandwich(couple, f, 3.0, t_grid=ts)
+    assert not report.ok and report.solver_flags == ()
+    [(t, side, worst)] = report.violations
+    assert (t, side) == (1.0, "below lower")
+    assert worst == pytest.approx(1e-4, rel=1e-9)
+    # a break of 1e-6 lies inside the root-unit gap: a flag, not a violation
+    table = _fixed_k_table(couple, 1000.0, 1e-3, lower * (1.0 - 1e-7))
+    monkeypatch.setitem(kfunc._FUNCTIONALS, "K", table)
+    report = check_k_power_sandwich(couple, f, 3.0, t_grid=ts)
+    assert report.ok and report.violations == ()
+    [(t, worst)] = report.solver_flags
+    assert t == 1.0 and worst == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_k_d_sandwich_flags_a_break_inside_the_certified_k_gap(monkeypatch):
+    # K = 1 with gap 1e-6 at every t: D breaks each side once by 1e-7, inside
+    # the gap (a solver flag), and once by 1e-5, past it (a violation)
+    couple = l1_linf_couple(_uniform(3))
+    ts = default_t_grid(0.1, 10.0, 4)
+    dv = np.array([1.0 - 1e-7, 1.0 - 1e-5, 2.0 + 1e-7, 2.0 + 1e-5])
+    ones = np.ones(4)
+    monkeypatch.setitem(
+        kfunc._FUNCTIONALS, "K", lambda c, fv, grid: (ones, ones, ones, 1e-6 * ones, None)
+    )
+    monkeypatch.setitem(kfunc._FUNCTIONALS, "D", lambda c, fv, grid: (dv,))
+    report = check_k_d_sandwich(couple, [3.0, 2.0, 1.0], t_grid=ts)
+    assert not report.ok
+    assert [(t, side) for t, side, _ in report.violations] == [
+        (ts[1], "D below K"), (ts[3], "D above 2K")
+    ]
+    assert [t for t, _ in report.solver_flags] == [ts[0], ts[2]]
+    breaks = [b for *_, b in report.violations] + [b for _, b in report.solver_flags]
+    assert breaks == pytest.approx([1e-5, 1e-5, 1e-7, 1e-7], rel=1e-6)
+
+
 def _loop_sandwich_entries(ts, kv, dv, slack):
     """The per-t loop of check_k_d_sandwich before it was vectorised."""
     violations = []
@@ -1235,8 +1295,10 @@ def test_vectorised_sandwich_comparisons_keep_the_loops_entries(monkeypatch, see
     with np.errstate(invalid="ignore", over="ignore"):
         report = check_k_power_sandwich(couple, [3.0, 2.0, 1.0], p, t_grid=ts)
         hard = kfunc.SANDWICH_TOL * np.maximum(lower, 1e-300)
+        # the base gap in root units, capped at the gap; the middle's as it is
+        root_gap = np.minimum(lower - np.maximum(base - gaps, 0.0) ** (1.0 / p), gaps)
         violations, flags = _loop_power_entries(
-            ts, lower, middle, 2.0 ** (1.0 - 1.0 / p), hard + 2.0 * gaps, hard
+            ts, lower, middle, 2.0 ** (1.0 - 1.0 / p), hard + root_gap + gaps, hard
         )
         if seed % 2:
             violations.append((float("nan"), "non-finite value", math.inf))

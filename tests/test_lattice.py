@@ -77,6 +77,40 @@ def test_norm_spec_validation():
         convexify(WeightedP(1.0), INF)
 
 
+def test_every_convexification_exponent_takes_one_check():
+    # norms, couples, sandwiches, majorants, lifts, instances and campaign
+    # configs refuse the same p and accept numpy reals
+    from caldera import CampaignConfig, SublinearMajorant, generate_instance, lift_operator
+    from caldera.kfunc import check_d_power_sandwich, check_k_power_sandwich
+    from caldera.lattice import Couple, convexification_exponent
+    from caldera.majorize import MatrixOperator
+
+    space = MeasureSpace(np.ones(2))
+    couple = Couple(space=space, norm0=WeightedP(1.0), norm1=WeightedP(INF))
+    op = MatrixOperator(space=space, entries=np.eye(2), positive=True)
+    f = [2.0, 1.0]
+    sites = {
+        "Convexified": lambda p: Convexified(base=WeightedP(1.0), p=p),
+        "convexify": lambda p: convexify(WeightedP(1.0), p),
+        "d power sandwich": lambda p: check_d_power_sandwich(couple, f, p, t_grid=[1.0]),
+        "k power sandwich": lambda p: check_k_power_sandwich(couple, f, p, t_grid=[1.0]),
+        "majorant": lambda p: SublinearMajorant(operator=op, alpha=1.0, p=p),
+        "lift": lambda p: lift_operator(couple, f, [1.0, 0.5], p, audit_samples=10),
+        "instance": lambda p: generate_instance(0, 2, p=p),
+        "campaign": lambda p: CampaignConfig(p_set=(p,)),
+    }
+    refused = (True, np.bool_(True), 1, 1.0, 0.5, INF, math.nan, "2", None)
+    for name, site in sites.items():
+        for p in refused:
+            with pytest.raises(DomainError, match=r"^convexification exponent must lie"):
+                site(p)
+        for p in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+            site(p)  # accepted
+    assert convexification_exponent(np.float32(1.5)) == 1.5
+    assert type(convexification_exponent(np.int64(3))) is float
+    assert Convexified(base=WeightedP(1.0), p=np.int64(3)).p == 3.0
+
+
 # ---------------------------------------------------------------------------
 # norm values
 # ---------------------------------------------------------------------------
