@@ -202,30 +202,26 @@ def _run_lattice_props(config, index, p):
     fam = [
         vector(space, 10.0 ** rng.uniform(-2.0, 2.0, size=n)) for _ in range(count)
     ]
-    violations = 0
     top = lub(fam)
     # splitting across a mask and its complement
     mask = rng.random(n) < 0.5
     left = lub([vector(space, np.where(mask, v.values, 0.0)) for v in fam])
     right = lub([vector(space, np.where(mask, 0.0, v.values)) for v in fam])
-    if np.max(np.abs(left.values + right.values - top.values)) > 1e-12 * np.max(
-        top.values
-    ):
-        violations += 1
     # localization against a positive envelope
     f0 = fam[0]
     ratios = lub([vector(space, v.values / f0.values) for v in fam])
-    if np.max(np.abs(f0.values * ratios.values - top.values)) > 1e-12 * np.max(
-        top.values
-    ):
-        violations += 1
     # p-th powers commute with the lub
     q = float(rng.uniform(1.5, 3.0))
     powered = lub([power_vector(v, q) for v in fam])
-    if np.max(
-        np.abs(powered.values - power_vector(top, q).values)
-    ) > 1e-12 * np.max(power_vector(top, q).values):
-        violations += 1
+
+    def breaks(a, b):  # the rule of all three identities
+        return int(np.max(np.abs(a - b)) > 1e-12 * np.max(b))
+
+    violations = (
+        breaks(left.values + right.values, top.values)
+        + breaks(f0.values * ratios.values, top.values)
+        + breaks(powered.values, power_vector(top, q).values)
+    )
     return n, None, None, violations, None
 
 

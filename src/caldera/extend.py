@@ -12,7 +12,8 @@ diag(|f|^(p-1) sgn f) with denom = alpha T |f|^p.  Then Lf = g and
 |Lh| <= H(h), which pins the operator norm on both convexified spaces at
 2^(1-1/p) when alpha = 2^(p-1).  The precondition K(t, g) <= K(t, f) on
 the convexified couple is decided by ``caldera.kfunc.k_order_failure``: the
-exact p-majorization test first, the K grid only when that test fails.
+exact power rule first (|g|^p weakly submajorized by |f|^p), one K profile
+on the default 61-point grid only for a pair that rule declines.
 
 Each lift is certified by a sampled audit (``_audit_lift``): the relative
 residual max|Lf - g| / max|g|, domination |Lh| <= H(h) and the p-norm and

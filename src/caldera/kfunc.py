@@ -32,15 +32,15 @@ names its row.
 The inequality checks at the bottom compare these routes against each other
 and against the constants that control p-convexification.  K <= D <= 2K
 and the two power sandwiches share one comparison, ``_sandwich``, and one
-``SandwichReport``.  The K-ordering decision is made once, by
-``k_order_failure``: exact p-majorization first, one validated profile of
-the stack [f, g] as the fallback.
+``SandwichReport``.  ``k_order_failure`` alone decides K-ordering: one exact
+power rule on (q, inf) couples, final at q = 1, then one validated profile.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,18 +56,13 @@ from .lattice import (
     convexify_couple,
     dual_p_norm,
     effective_exponent,
-    is_l1_linf,
     is_real,
     norm_bound,
     values_of,
     vector,
     weighted_p_norm,
 )
-from .majorize import (
-    rearrangement_integral,
-    sorted_prefix_failure,
-    weighted_weak_submajorizes,
-)
+from .majorize import rearrangement_integral, sorted_prefix_failure, weighted_prefix_failure
 
 # relative accuracy contract of the numerical K solver
 SOLVER_REL_GAP = 1e-6
@@ -85,6 +80,7 @@ DECOMPOSITION_TOL = 1e-12
 PROFILE_TOL = 1e-9
 SANDWICH_TOL = 1e-9
 ORDER_GRID_SLACK = 1e-9
+_BUILT_GRIDS = weakref.WeakValueDictionary()  # default_t_grid's live grids, by id
 
 
 @functools.lru_cache(maxsize=32)
@@ -92,8 +88,9 @@ def default_t_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 61) -> np.nda
     """Geometric t-grid, built once per (lo, hi, count) and shared read-only."""
     if not (0.0 < lo < hi < INF) or count < 2:
         raise DomainError("need finite 0 < lo < hi and at least two grid points")
-    grid = np.geomspace(lo, hi, count)
+    grid = _as_grid(np.geomspace(lo, hi, count))
     grid.flags.writeable = False
+    _BUILT_GRIDS[id(grid)] = grid
     return grid
 
 
@@ -116,9 +113,12 @@ def _positive_t(t) -> float:
 
 
 def _as_grid(t_grid) -> np.ndarray:
-    """A validated t-grid; None is the default grid."""
+    """A validated t-grid; None is the default grid.  A read-only grid that
+    ``default_t_grid`` built was checked then and is returned as it is."""
     if t_grid is None:
         return default_t_grid()
+    if _BUILT_GRIDS.get(id(t_grid)) is t_grid and not t_grid.flags.writeable:
+        return t_grid
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise DomainError("t grid must be a nonempty 1-d array")
@@ -736,82 +736,78 @@ def check_k_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> Sandwich
 # ---------------------------------------------------------------------------
 
 
-def k_order_breaks(prof: KProfile):
-    """Where a K profile of the stack [f, g] breaks K(t, g) <= K(t, f).
-
-    The comparison allows ORDER_GRID_SLACK K(t, f) plus both certified
-    gaps, and a NaN value breaks it.  Returns the mask of broken grid points
-    and the tolerance.
-    """
-    (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
-    tol = ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
-    return ~(kg <= kf + tol), tol
+def _power_majorization_failure(couple: Couple, fv: np.ndarray, gv: np.ndarray):
+    """The power rule of ``p_majorization_orders``: None when it holds, else
+    the first failing breakpoint t (k times the weight on uniform weights),
+    and NaN when the couple is not (q, inf) with q finite."""
+    q, q1 = _exponents(couple)
+    if not (q1 == INF and q < INF):
+        return math.nan
+    a, b = np.abs(fv), np.abs(gv)
+    top = max(a.max(), b.max()) or 1.0
+    fp, gp = (a / top) ** q, (b / top) ** q
+    if not couple.space.is_uniform():
+        return weighted_prefix_failure(couple.space.weights, fp, gp)
+    k = sorted_prefix_failure(np.sort(fp)[::-1], np.sort(gp)[::-1])
+    return None if k is None else k * float(couple.space.weights[0])
 
 
 def p_majorization_orders(couple: Couple, f, g) -> bool:
     """Exact sufficient test for K(t, g) <= K(t, f) at every t > 0.
 
-    It applies to uniform couples with effective exponents (p, inf), p > 1,
-    and holds when |g|^p is weakly submajorized by |f|^p.  Then a positive
-    doubly substochastic T has T|f|^p = |g|^p (Marshall-Olkin), and the
-    alpha = 1 Holder lift on T is a contraction on both l_p and sup that maps
-    f to g (Lorentz-Shimogaki 1971).  Prefix sums in excess by at most
-    SUBMAJORIZATION_TOL move K by about that over p, far inside
-    ORDER_GRID_SLACK, so an accepted pair also passes ``k_order_breaks``.
+    It applies to couples with effective exponents (q, inf), q finite, and
+    any weights w, and holds when the weighted decreasing rearrangement of
+    |g|^q has running integrals at or below those of |f|^q.
+
+    Proof.  A split of f with sup part of level c is no better than the
+    truncation min(|f|, c) sgn f, so K(t, f) = min over c >= 0 of
+    N_f(c) + t c with N_f(c) = ||(|f| - c)_+||_q.  Hence K-ordering holds
+    exactly when N_g <= N_f at every c.  Now N_f(c)^q = sum_i w_i psi_c(|f_i|^q)
+    with psi_c(y) = (y^(1/q) - c)_+^q, which is convex, nondecreasing and 0
+    at 0 (its slope (1 - c y^(-1/q))_+^(q-1) does not decrease).  Weighted
+    weak submajorization gives sum w psi(y_g) <= sum w psi(y_f) for every
+    such psi (Hardy-Littlewood-Polya), so N_g <= N_f.  At q = 1 the converse
+    holds too: K(t) is then the rearrangement integral of |f| itself.
+
     Both moduli are divided by their common maximum before the power, which
-    cannot overflow; a non-finite power (both vectors zero) returns False.
+    cannot overflow; two zero vectors compare as zero powers.  A prefix slack
+    of SUBMAJORIZATION_TOL moves K by about that over q, inside ORDER_GRID_SLACK.
     """
-    p, p1 = _exponents(couple)
-    if not (p1 == INF and 1.0 < p < INF and couple.space.is_uniform()):
-        return False
-    a = np.abs(values_of(f, couple.space.n))
-    b = np.abs(values_of(g, couple.space.n))
-    top = max(a.max(), b.max())
-    with np.errstate(invalid="ignore"):
-        fp, gp = (a / top) ** p, (b / top) ** p
-    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(gp))):
-        return False
-    return sorted_prefix_failure(np.sort(fp)[::-1], np.sort(gp)[::-1]) is None
+    n = couple.space.n
+    return _power_majorization_failure(couple, values_of(f, n), values_of(g, n)) is None
 
 
-def k_order_failure(couple: Couple, f, g, t_grid=None) -> str:
-    """Why K(t, g) <= K(t, f) fails across the grid, or "" when it holds.
+def k_order_failure(couple: Couple, f, g) -> str:
+    """Why K(t, g) <= K(t, f) fails, or "" when it holds.
 
-    A pair that ``p_majorization_orders`` accepts is ordered at every t and
-    skips the grid.  Otherwise one validated K profile of the stack [f, g]
-    goes through ``k_order_breaks``, and the message names the first broken
-    t.  On the (l1, linf) couple the exact comparison of the weighted
-    rearrangement integrals decides; if it says the domination holds
-    everywhere while the grid sees a violation beyond its slack, the two
-    routes contradict each other and that is an internal error, not a
-    property of the input.
+    The power rule of ``p_majorization_orders`` decides first.  At q = 1 it
+    is exact, and a refusal names the first failing breakpoint t with the
+    exact K(t, g) and K(t, f).  Any other pair takes one validated K profile
+    of [f, g] on ``default_t_grid()``; it breaks where K(t, g) exceeds K(t, f)
+    by more than ORDER_GRID_SLACK K(t, f) plus both certified gaps, or is NaN.
     """
-    ts = _as_grid(t_grid)
-    if p_majorization_orders(couple, f, g):
+    n = couple.space.n
+    fv, gv = values_of(f, n), values_of(g, n)
+    t = _power_majorization_failure(couple, fv, gv)
+    if t is None:
         return ""
-    fv = values_of(f, couple.space.n)
-    gv = values_of(g, couple.space.n)
+    if _exponents(couple) == (1.0, INF):
+        kf, kg = (_FUNCTIONALS["K"](couple, v, np.array([t]))[0][0] for v in (fv, gv))
+        return f"pair is not ordered: at t={t!r}, K(t, g) = {kg:.17g} exceeds K(t, f) = {kf:.17g}"
+    ts = default_t_grid()
     prof = profile("K", couple, np.stack([fv, gv]), ts)
-    broken, tol = k_order_breaks(prof)
-    if is_l1_linf(couple):
-        exact_ok = weighted_weak_submajorizes(couple.space, fv, gv)
-        if exact_ok and broken.any():
-            raise InternalConsistencyError(
-                "exact rearrangement comparison and grid comparison disagree"
-            )
-        if not (exact_ok or broken.any()):
-            return "pair is not ordered: the exact rearrangement comparison fails off the grid"
+    (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
+    tol = ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
+    broken = ~(kg <= kf + tol)
     if not broken.any():
         return ""
     i = int(np.argmax(broken))
-    kf, kg = prof.values[:, i]
     return (
-        f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, "
-        f"K(t, g) = {kg:.17g} exceeds K(t, f) = "
-        f"{kf:.17g} by more than the tolerance {tol[i]:.3e}"
+        f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, K(t, g) = "
+        f"{kg[i]:.17g} exceeds K(t, f) = {kf[i]:.17g} by more than the tolerance {tol[i]:.3e}"
     )
 
 
-def k_order_dominates(couple: Couple, f, g, t_grid=None) -> bool:
-    """True when K(t, g) <= K(t, f) across the grid: ``k_order_failure`` is empty."""
-    return not k_order_failure(couple, f, g, t_grid)
+def k_order_dominates(couple: Couple, f, g) -> bool:
+    """True when K(t, g) <= K(t, f) holds: ``k_order_failure`` is empty."""
+    return not k_order_failure(couple, f, g)

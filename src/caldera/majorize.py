@@ -79,13 +79,18 @@ def weak_submajorizes(f, g) -> bool:
     return sorted_prefix_failure(fs, gs) is None
 
 
+def _first_excess(f_sums: np.ndarray, g_sums: np.ndarray):
+    """Index of the first running sum of g above f's by more than
+    SUBMAJORIZATION_TOL, NaN included, or None: both prefix rules use it."""
+    bad = ~(g_sums <= f_sums * (1.0 + SUBMAJORIZATION_TOL) + 1e-300)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def sorted_prefix_failure(fs: np.ndarray, gs: np.ndarray):
     """First 1-based prefix length where the sum of gs exceeds that of fs,
     or None; both arrays already sorted nonincreasingly."""
-    bad = np.cumsum(gs) > np.cumsum(fs) * (1.0 + SUBMAJORIZATION_TOL) + 1e-300
-    if not np.any(bad):
-        return None
-    return int(np.argmax(bad)) + 1
+    bad = _first_excess(np.cumsum(fs), np.cumsum(gs))
+    return None if bad is None else bad + 1
 
 
 def rearrangement_integral(weights: np.ndarray, moduli: np.ndarray, ts: np.ndarray):
@@ -111,20 +116,24 @@ def rearrangement_integral(weights: np.ndarray, moduli: np.ndarray, ts: np.ndarr
     return values, levels, a0_norms
 
 
-def weighted_weak_submajorizes(space: MeasureSpace, f, g) -> bool:
-    """Exact weighted analogue of weak submajorization.
+def weighted_prefix_failure(weights: np.ndarray, fv: np.ndarray, gv: np.ndarray):
+    """First breakpoint t of the weighted decreasing rearrangement of the
+    moduli gv where its running integral exceeds that of fv, or None.  The
+    integral of gv is linear between its breakpoints and that of fv concave,
+    so the breakpoints decide every t > 0."""
+    breakpoints = np.cumsum(weights[np.argsort(-gv, kind="stable")])
+    int_f, _, _ = rearrangement_integral(weights, fv, breakpoints)
+    int_g, _, _ = rearrangement_integral(weights, gv, breakpoints)
+    bad = _first_excess(int_f, int_g)
+    return None if bad is None else float(breakpoints[bad])
 
-    Compares the running integrals of the weighted decreasing rearrangements
-    of |f| and |g| at the breakpoints of g's rearrangement; by piecewise
-    linearity and concavity this decides the comparison for every t > 0.
-    """
+
+def weighted_weak_submajorizes(space: MeasureSpace, f, g) -> bool:
+    """Exact weighted weak submajorization: ``weighted_prefix_failure`` finds
+    no t where the rearrangement integral of |g| exceeds that of |f|."""
     fv = np.abs(values_of(f, space.n))
     gv = np.abs(values_of(g, space.n))
-    order_g = np.argsort(-gv, kind="stable")
-    breakpoints = np.cumsum(space.weights[order_g])
-    int_f, _, _ = rearrangement_integral(space.weights, fv, breakpoints)
-    int_g, _, _ = rearrangement_integral(space.weights, gv, breakpoints)
-    return bool(np.all(int_g <= int_f * (1.0 + SUBMAJORIZATION_TOL) + 1e-300))
+    return weighted_prefix_failure(space.weights, fv, gv) is None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from caldera.instances import (
     orchestration_rng,
     payload_rng,
 )
-from caldera.kfunc import k_order_dominates
+from caldera.kfunc import default_t_grid, k_order_dominates, profile
 
 
 def test_same_seed_gives_identical_instance():
@@ -87,6 +87,17 @@ def test_k_ordered_pairs_verify_on_the_convexified_couple():
         assert inst.g is not None
         conv = convexify_couple(inst.couple, 1.5)
         assert k_order_dominates(conv, inst.f, inst.g)
+
+
+def test_weighted_k_ordered_pairs_are_ordered_in_one_draw():
+    # the partner's column cap counts the weights, so the one pair drawn is
+    # ordered; a dense grid confirms it apart from the power rule
+    ts = default_t_grid(1e-4, 1e4, 201)
+    for seed in range(40):
+        inst = generate_instance(seed, 6, p=2.0, k_ordered=True, uniform_weights=False)
+        conv = convexify_couple(inst.couple, 2.0)
+        kf, kg = profile("K", conv, np.stack([inst.f, inst.g]), ts).values
+        assert np.all(kg <= 0.95 * kf), seed
 
 
 def test_generate_rejects_bad_arguments():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -570,7 +571,7 @@ def test_profile_of_a_stack_checks_each_row():
     with pytest.raises(DomainError, match="at least one"):
         profile("K", couple, np.ones((0, 3)), ts)
     with pytest.raises(DomainError, match="finite"):
-        k_order_dominates(couple, [1.0, 2.0, 3.0], [1.0, math.inf, 0.0], ts)
+        k_order_dominates(couple, [1.0, 2.0, 3.0], [1.0, math.inf, 0.0])
 
 
 def _failure_in_a_stack_names_the_row(couple, row):
@@ -831,9 +832,8 @@ def test_k_power_sandwich_on_finite_pairs(p):
         lambda c, ts: profile("K", convexify_couple(c, 2.0), [1.0, 2.0, 3.0], ts),
         lambda c, ts: profile("D", c, [1.0, 2.0, 3.0], ts),
         lambda c, ts: check_k_d_sandwich(c, [1.0, 2.0, 3.0], t_grid=ts),
-        lambda c, ts: k_order_dominates(c, [3.0, 2.0, 1.0], [1.0, 1.0, 1.0], ts),
     ],
-    ids=["profile-K", "profile-K-convexified", "profile-D", "k-d-sandwich", "k-order"],
+    ids=["profile-K", "profile-K-convexified", "profile-D", "k-d-sandwich"],
 )
 @pytest.mark.parametrize("grid", [[1.0, INF], [math.nan, 1.0], [0.5, math.nan]])
 def test_non_finite_t_grid_raises_domain_error(call, grid):
@@ -1048,8 +1048,8 @@ def _finite_couple(space):
         lambda c, f, ts: profile("K", _finite_couple(c.space), f, ts),
         lambda c, f, ts: check_k_power_sandwich(c, f, 2.0, t_grid=ts),
         lambda c, f, ts: check_d_power_sandwich(c, f, 2.0, t_grid=ts),
-        lambda c, f, ts: k_order_dominates(convexify_couple(c, 2.0), f, f[:3], ts),
-        lambda c, f, ts: k_order_dominates(convexify_couple(c, 2.0), f[:3], f, ts),
+        lambda c, f, ts: k_order_dominates(convexify_couple(c, 2.0), f, f[:3]),
+        lambda c, f, ts: k_order_dominates(convexify_couple(c, 2.0), f[:3], f),
     ],
     ids=[
         "profile-D",
@@ -1361,6 +1361,14 @@ def test_k_order_matches_prefix_sums_on_uniform_weights():
     assert agree == 40
 
 
+def _grid_ordered(couple, f, g, ts):
+    """The grid route's rule on one validated profile of the stack [f, g]."""
+    prof = profile("K", couple, np.stack([f, g]), ts)
+    (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
+    tol = kfunc.ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
+    return bool(np.all(kg <= kf + tol))
+
+
 def _order_by_single_profiles(couple, f, g, ts):
     """The ordering rule on two separate one-vector profiles."""
     kf, gap_f = _unvalidated("K", couple, f, ts)
@@ -1437,28 +1445,122 @@ def test_p_majorization_accepts_only_grid_ordered_pairs():
             rejected += 1
             continue
         accepted += 1
-        broken, _ = kfunc.k_order_breaks(profile("K", couple, np.stack([f, g]), ts))
-        assert not broken.any(), (i, n, p)
+        assert _grid_ordered(couple, f, g, ts), (i, n, p)
     assert accepted > 300 and rejected > 100
 
 
-def test_p_majorization_applies_to_uniform_lp_sup_couples_only():
+def test_p_majorization_applies_to_lq_sup_couples_of_any_weights():
     f, g = np.array([3.0, 1.0]), np.array([2.0, 1.0])
     base = l1_linf_couple(_uniform(2))
-    assert kfunc.p_majorization_orders(convexify_couple(base, 2.0), f, g)
-    assert kfunc.p_majorization_orders(
-        Couple(space=MeasureSpace([4.0, 4.0]), norm0=WeightedP(3.0), norm1=WeightedP(INF)),
-        f,
-        g,
-    )
+    weighted = MeasureSpace([1.0, 2.0])
     for couple in (
         base,
-        convexify_couple(l1_linf_couple(MeasureSpace([1.0, 2.0])), 2.0),
+        convexify_couple(base, 2.0),
+        Couple(space=MeasureSpace([4.0, 4.0]), norm0=WeightedP(3.0), norm1=WeightedP(INF)),
+        l1_linf_couple(weighted),
+        convexify_couple(l1_linf_couple(weighted), 2.0),
+    ):
+        assert kfunc.p_majorization_orders(couple, f, g)
+    # no sup side, or a sup first side: the grid decides
+    for couple in (
         Couple(space=_uniform(2), norm0=WeightedP(2.0), norm1=WeightedP(3.0)),
         Couple(space=_uniform(2), norm0=WeightedP(INF), norm1=WeightedP(2.0)),
     ):
         assert not kfunc.p_majorization_orders(couple, f, g)
-    # both vectors zero: the scaled powers are NaN, so the grid decides
-    conv = convexify_couple(base, 2.0)
-    assert not kfunc.p_majorization_orders(conv, np.zeros(2), np.zeros(2))
-    assert k_order_dominates(conv, np.zeros(2), np.zeros(2))
+    # a permutation is majorized on uniform weights; moving the large atom onto
+    # the heavier weight breaks the weighted rule, and the ordering with it
+    f, g = np.array([3.0, 1.0]), np.array([1.0, 3.0])
+    assert kfunc.p_majorization_orders(convexify_couple(base, 2.0), f, g)
+    conv = convexify_couple(l1_linf_couple(weighted), 2.0)
+    assert not kfunc.p_majorization_orders(conv, f, g)
+    assert not k_order_dominates(conv, f, g)
+    # both vectors zero compare as zero powers
+    for couple in (base, convexify_couple(base, 2.0), conv):
+        assert kfunc.p_majorization_orders(couple, np.zeros(2), np.zeros(2))
+        assert k_order_dominates(couple, np.zeros(2), np.zeros(2))
+
+
+def _weighted_sweep_pair(rng, i):
+    """A (q, inf) couple, uniform on every fourth draw, and a pair near the
+    edge of the power rule: g a shrunk permutation of f, an entrywise
+    perturbation of it, or a flattened copy, with ties and zeros."""
+    n = int(rng.integers(1, 9))
+    q = float(rng.choice([1.0, 1.01, 1.5, 2.0, 3.0, 6.0]))
+    w = np.ones(n) if i % 4 == 0 else 10.0 ** rng.uniform(-1.5, 1.5, size=n)
+    f = 10.0 ** rng.uniform(-1.0, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    if n > 1 and rng.random() < 0.3:
+        f[rng.integers(0, n)] = 0.0
+    if n > 1 and rng.random() < 0.3:
+        f[rng.integers(0, n)] = f[0]
+    a = np.abs(f)
+    g = (
+        rng.permutation(f) * rng.uniform(0.8, 1.0),
+        f * rng.uniform(0.7, 1.05, size=n),
+        rng.uniform(0.5, 1.0) * (a + rng.uniform(0.0, 1.0) * (a.max() - a)),
+    )[i % 3]
+    couple = Couple(space=MeasureSpace(w), norm0=WeightedP(q), norm1=WeightedP(INF))
+    return couple, f, g
+
+
+def test_power_rule_accepts_only_ordered_pairs_on_weighted_couples():
+    # every pair the rule accepts is K-ordered on a 401-point grid over
+    # [1e-4, 1e4]; a rule that ignores the weights, or that compares the
+    # powers 2q, accepts pairs that break there
+    rng = np.random.default_rng(2027)
+    ts = default_t_grid(1e-4, 1e4, 401)
+    accepted = weighted = 0
+    for i in range(600):
+        couple, f, g = _weighted_sweep_pair(rng, i)
+        if not kfunc.p_majorization_orders(couple, f, g):
+            continue
+        accepted += 1
+        weighted += not couple.space.is_uniform()
+        assert _grid_ordered(couple, f, g, ts), (i, couple, f, g)
+    assert accepted > 200 and weighted > 100
+
+
+def test_power_rule_on_l1_sup_is_exact():
+    # at q = 1 K(t) is the rearrangement integral, so the rule decides: an
+    # accepted pair shows no break on a dense grid, and a refusal names a t
+    # where k_numeric confirms K(t, g) > K(t, f)
+    rng = np.random.default_rng(2029)
+    ts = default_t_grid(1e-4, 1e4, 401)
+    number = r"([-+0-9.e]+)"
+    seen = set()
+    for i in range(300):
+        n = int(rng.integers(1, 9))
+        w = np.ones(n) if i % 2 else 10.0 ** rng.uniform(-1.5, 1.5, size=n)
+        couple = l1_linf_couple(MeasureSpace(w))
+        f = _rand_f(rng, n, scale=1.0)
+        g = (rng.permutation(f) * rng.uniform(0.8, 1.1), f * rng.uniform(0.7, 1.1, size=n))[i % 2]
+        failure = kfunc.k_order_failure(couple, f, g)
+        seen.add(bool(failure))
+        if not failure:
+            assert _grid_ordered(couple, f, g, ts), (i, w, f, g)
+            continue
+        found = re.fullmatch(
+            rf"pair is not ordered: at t={number}, K\(t, g\) = {number} "
+            rf"exceeds K\(t, f\) = {number}",
+            failure,
+        )
+        assert found, failure
+        t, kg, kf = (float(x) for x in found.groups())
+        assert (k_numeric(couple, g, t)[0], k_numeric(couple, f, t)[0]) == (kg, kf)
+        assert kg > kf
+    assert seen == {True, False}
+
+
+def test_default_grids_pass_as_built_and_other_arrays_are_checked():
+    grid = default_t_grid()
+    assert kfunc._as_grid(grid) is grid
+    assert kfunc._as_grid(None) is grid
+    for bad in ([3.0, 2.0, 1.0], [1.0, math.inf]):
+        ts = np.array(bad)
+        ts.flags.writeable = False
+        with pytest.raises(DomainError):
+            kfunc._as_grid(ts)
+    # a writeable copy of a built grid is checked again, and passes
+    copy = grid.copy()
+    assert kfunc._as_grid(copy) is copy
+    with pytest.raises(DomainError, match="strictly increasing"):
+        default_t_grid(1.0, 1.0 + 1e-15, 61)

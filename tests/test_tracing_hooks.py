@@ -58,7 +58,9 @@ def test_tracer_patches_and_restores_every_hooked_global(monkeypatch):
 def test_traced_lift_and_instance_keep_the_k_work_under_kfunc_profile(monkeypatch):
     # generated pairs are p-majorized, so the exact ordering test decides
     # them and neither generation nor the lift computes a K profile; a pair
-    # that is grid-ordered but not p-majorized takes the grid fallback
+    # that is grid-ordered but not p-majorized takes the grid fallback, one
+    # profile on the 61 points of the default grid, which the tracer reads
+    # from the profile's fourth argument
     f, g = np.array([1.28, 1.61, 0.48]), np.array([0.12, 1.33, 1.59])
     tracer = _load_tracing(monkeypatch).Tracer()
     tracer.install()
@@ -77,6 +79,7 @@ def test_traced_lift_and_instance_keep_the_k_work_under_kfunc_profile(monkeypatc
     assert generated.get("kfunc.profile.calls", 0) == 0
     assert majorized.get("kfunc.profile.calls", 0) == 0
     assert fallback["kfunc.profile.calls"] == 1
+    assert fallback["kfunc.profile.points"] == 61
     for lifted in (majorized, fallback):
         assert lifted["extend.lift.calls"] == 1
         assert lifted["majorize.construct.calls"] == 1
