@@ -34,4 +34,4 @@ class NumericalFailure(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two routes that must agree (exact vs grid) disagreed beyond tolerance."""
+    """A computed K or D profile broke a shape invariant beyond tolerance."""

@@ -30,10 +30,10 @@ the one place that splits a stack into rows; a failed solve or an overflow
 names its row.
 
 The inequality checks at the bottom compare these routes against each other
-and against the constants that control p-convexification.  K <= D <= 2K
-and the two power sandwiches share one comparison, ``_sandwich``, and one
-``SandwichReport``.  ``k_order_failure`` alone decides K-ordering: one exact
-power rule on (q, inf) couples, final at q = 1, then one validated profile.
+and against the constants of p-convexification, each through one tolerance
+rule, ``_sandwich``: K <= D <= 2K, both power sandwiches and K's corollary in
+root units, and the grid side of K-ordering.  ``k_order_failure`` first tries
+one exact power rule on (q, inf) and (inf, q) couples, final at q = 1.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ LEVEL_BLOCK = 2**16
 DECOMPOSITION_TOL = 1e-12
 PROFILE_TOL = 1e-9
 SANDWICH_TOL = 1e-9
-ORDER_GRID_SLACK = 1e-9
 _BUILT_GRIDS = weakref.WeakValueDictionary()  # default_t_grid's live grids, by id
 
 
@@ -635,11 +634,12 @@ class SandwichReport:
     K <= D <= 2K has lower K, middle D and bound 2.  The power sandwiches
     have lower F(t, |f|^p)^(1/p), middle F(t^(1/p), f) on the convexified
     couple and bound 2^(1-1/p), for F = K or D.  Entries (t, side, break) of
-    ``violations`` broke a side beyond all tolerances, and a value that is
-    not finite adds (nan, "non-finite value", inf).  Entries (t, break) of
-    ``solver_flags`` broke it past SANDWICH_TOL but within the certified
-    solver gaps: inconclusive, not counterexamples.  ``max_ratio`` is the
-    largest middle / lower over the t with lower > 0.
+    ``violations`` broke a side past its tolerance in ``tolerances``, and a
+    value that is not finite adds (nan, "non-finite value", inf).  Entries
+    (t, break) of ``solver_flags`` broke it past the SANDWICH_TOL part alone:
+    inconclusive, not counterexamples.  ``max_ratio`` is the largest middle /
+    lower over the t with lower > 0.  ``corollary_ok``: K's lower / 2 <=
+    middle <= 2 lower holds under the same rule, ``_sandwich``'s.
     """
 
     ok: bool
@@ -650,17 +650,24 @@ class SandwichReport:
     max_ratio: float
     violations: tuple
     solver_flags: tuple
+    tolerances: np.ndarray = field(repr=False)
     corollary_ok: bool = True
 
 
-def _sandwich(ts, lower, middle, bound, hard, soft, sides) -> SandwichReport:
-    """The one comparison of the three sandwich checks.  ``hard`` and ``soft``
-    are tolerances on the breaks lower - middle (row 0) and middle - bound *
-    lower (row 1), whose labels are ``sides``: (2, T) arrays, or (T,) arrays
-    for both sides.  A break past soft is a violation, one past hard only a
-    solver flag; a NaN break is neither, and a non-finite value fails closed
-    through its own entry."""
-    breaks = np.array([lower - middle, middle - bound * lower])
+def _sandwich(ts, lower, middle, bound, lower_gap, middle_gap, sides) -> SandwichReport:
+    """The one tolerance rule of every inequality here: lower <= middle and,
+    when ``sides`` has two labels, middle <= bound * lower, each value within
+    its certified gap.  The lower side allows SANDWICH_TOL lower plus both
+    gaps, the upper bound (SANDWICH_TOL lower + lower_gap) + middle_gap; a
+    break past that is a violation, past the SANDWICH_TOL part alone a solver
+    flag.  A NaN break is neither; a non-finite value fails closed."""
+    scale = SANDWICH_TOL * np.maximum(lower, 1e-300)
+    # per side: the break, the flag tolerance and the violation tolerance
+    rows = [(lower - middle, scale, scale + lower_gap + middle_gap)]
+    if len(sides) == 2:
+        upper = bound * (scale + lower_gap) + middle_gap
+        rows.append((middle - bound * lower, bound * scale, upper))
+    breaks, hard, soft = (np.array(row) for row in zip(*rows))
     broken = breaks > soft
     flagged = (breaks > hard) & ~broken
     # entries in t order, the lower side first at each t
@@ -674,27 +681,24 @@ def _sandwich(ts, lower, middle, bound, hard, soft, sides) -> SandwichReport:
     return SandwichReport(
         ok=not violations, t_grid=ts, lower=lower, middle=middle, bound=bound,
         max_ratio=float(ratios.max(initial=1.0)),
-        violations=tuple(violations), solver_flags=tuple(flags),
+        violations=tuple(violations), solver_flags=tuple(flags), tolerances=soft,
     )
 
 
 def check_k_d_sandwich(couple: Couple, f, t_grid=None) -> SandwichReport:
-    """K(t, f) <= D(t, f) <= 2 K(t, f) over the grid.  The lower side allows
-    SANDWICH_TOL K plus the certified K gap, the upper side twice that."""
+    """K(t, f) <= D(t, f) <= 2 K(t, f) over the grid; D has no gap."""
     ts = _as_grid(t_grid)
     fv = values_of(f, couple.space.n)
     kv, _, _, gaps, _ = _FUNCTIONALS["K"](couple, fv, ts)
     dv = _FUNCTIONALS["D"](couple, fv, ts)[0]
-    scale = SANDWICH_TOL * np.maximum(kv, 1e-300)
-    hard, soft = np.array([scale, 2.0 * scale]), np.array([scale + gaps, 2.0 * (scale + gaps)])
-    return _sandwich(ts, kv, dv, 2.0, hard, soft, ("D below K", "D above 2K"))
+    return _sandwich(ts, kv, dv, 2.0, gaps, 0.0, ("D below K", "D above 2K"))
 
 
 def _power_sandwich(kind, couple, f, p, t_grid) -> SandwichReport:
-    """F(t, |f|^p)^(1/p) <= F(t^(1/p), f; convexified) <= 2^(1-1/p) times it,
-    each side up to SANDWICH_TOL plus both certified gaps.  The base gap is
-    on F(t, |f|^p), so it enters in root units, lower - (base - gap)^(1/p),
-    capped at the gap itself."""
+    """F(t, |f|^p)^(1/p) <= F(t^(1/p), f; convexified) <= 2^(1-1/p) times it;
+    the base gap enters as its root width lower - (base - gap)^(1/p).  For K
+    the corollary K(t, |f|^p) <= 2^p K(t^(1/p), f)^p <= 2^(2p) K(t, |f|^p) is
+    checked as its p-th root, lower / 2 <= middle <= 2 lower, gap halved."""
     ts = _as_grid(t_grid)
     p = convexification_exponent(p)
     fv = values_of(f, couple.space.n)
@@ -702,10 +706,13 @@ def _power_sandwich(kind, couple, f, p, t_grid) -> SandwichReport:
     conv = convexify_couple(couple, p)
     middle, _, _, conv_gap, _ = _FUNCTIONALS[kind](conv, fv, ts ** (1.0 / p))
     lower = base ** (1.0 / p)
-    root_gap = np.minimum(lower - np.maximum(base - base_gap, 0.0) ** (1.0 / p), base_gap)
-    hard = SANDWICH_TOL * np.maximum(lower, 1e-300)
-    soft = hard + root_gap + conv_gap
-    return _sandwich(ts, lower, middle, norm_bound(p), hard, soft, ("below lower", "above upper"))
+    root_gap = lower - np.maximum(base - base_gap, 0.0) ** (1.0 / p)
+    sides = ("below lower", "above upper")
+    report = _sandwich(ts, lower, middle, norm_bound(p), root_gap, conv_gap, sides)
+    if kind == "D":
+        return report
+    corollary = _sandwich(ts, lower / 2.0, middle, 4.0, root_gap / 2.0, conv_gap, sides)
+    return replace(report, ok=report.ok and corollary.ok, corollary_ok=corollary.ok)
 
 
 def check_d_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> SandwichReport:
@@ -714,21 +721,8 @@ def check_d_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> Sandwich
 
 
 def check_k_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> SandwichReport:
-    """Same two-sided comparison for K, with the certified gaps of both K
-    solves added to the tolerance.
-
-    Also verifies the squared corollary: K(t, |f|^p) <= 2^p K(t^(1/p), f)^p
-    <= 2^(2p) K(t, |f|^p), which follows from the main chain and must hold
-    with room to spare.
-    """
-    report = _power_sandwich("K", couple, f, p, t_grid)
-    k_base, k_conv_p = report.lower ** p, report.middle ** p
-    slack = SANDWICH_TOL * np.maximum(k_base, 1e-300)
-    corollary_ok = bool(
-        np.all(k_base <= 2.0 ** p * k_conv_p + slack)
-        and np.all(2.0 ** p * k_conv_p <= 2.0 ** (2.0 * p) * k_base + 2.0 ** p * slack)
-    )
-    return replace(report, ok=report.ok and corollary_ok, corollary_ok=corollary_ok)
+    """The same chain for K, and its corollary in ``corollary_ok``."""
+    return _power_sandwich("K", couple, f, p, t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +733,12 @@ def check_k_power_sandwich(couple: Couple, f, p: float, t_grid=None) -> Sandwich
 def _power_majorization_failure(couple: Couple, fv: np.ndarray, gv: np.ndarray):
     """The power rule of ``p_majorization_orders``: None when it holds, else
     the first failing breakpoint t (k times the weight on uniform weights),
-    and NaN when the couple is not (q, inf) with q finite."""
+    and NaN when the couple is not (q, inf) or (inf, q), q finite.  An (inf,
+    q) couple takes its swap's rule: a failure there at t' is one at 1 / t'."""
     q, q1 = _exponents(couple)
+    if q == INF and q1 < INF:
+        t = _power_majorization_failure(Couple(couple.space, couple.norm1, couple.norm0), fv, gv)
+        return None if t is None else 1.0 / t
     if not (q1 == INF and q < INF):
         return math.nan
     a, b = np.abs(fv), np.abs(gv)
@@ -757,7 +755,8 @@ def p_majorization_orders(couple: Couple, f, g) -> bool:
 
     It applies to couples with effective exponents (q, inf), q finite, and
     any weights w, and holds when the weighted decreasing rearrangement of
-    |g|^q has running integrals at or below those of |f|^q.
+    |g|^q has running integrals at or below those of |f|^q.  So does an
+    (inf, q) couple, which K(t) = t K'(1/t) orders exactly as its swap.
 
     Proof.  A split of f with sup part of level c is no better than the
     truncation min(|f|, c) sgn f, so K(t, f) = min over c >= 0 of
@@ -771,7 +770,7 @@ def p_majorization_orders(couple: Couple, f, g) -> bool:
 
     Both moduli are divided by their common maximum before the power, which
     cannot overflow; two zero vectors compare as zero powers.  A prefix slack
-    of SUBMAJORIZATION_TOL moves K by about that over q, inside ORDER_GRID_SLACK.
+    of SUBMAJORIZATION_TOL moves K by about that over q, inside SANDWICH_TOL.
     """
     n = couple.space.n
     return _power_majorization_failure(couple, values_of(f, n), values_of(g, n)) is None
@@ -780,31 +779,31 @@ def p_majorization_orders(couple: Couple, f, g) -> bool:
 def k_order_failure(couple: Couple, f, g) -> str:
     """Why K(t, g) <= K(t, f) fails, or "" when it holds.
 
-    The power rule of ``p_majorization_orders`` decides first.  At q = 1 it
-    is exact, and a refusal names the first failing breakpoint t with the
-    exact K(t, g) and K(t, f).  Any other pair takes one validated K profile
-    of [f, g] on ``default_t_grid()``; it breaks where K(t, g) exceeds K(t, f)
-    by more than ORDER_GRID_SLACK K(t, f) plus both certified gaps, or is NaN.
+    The power rule of ``p_majorization_orders`` decides first.  On (1, inf)
+    and (inf, 1) it is exact, and a refusal names the first failing
+    breakpoint t with the exact K(t, g) and K(t, f).  Any other pair takes
+    one validated K profile of [f, g] on ``default_t_grid()`` through the
+    one side K(t, g) <= K(t, f) of ``_sandwich``'s rule.
     """
     n = couple.space.n
     fv, gv = values_of(f, n), values_of(g, n)
     t = _power_majorization_failure(couple, fv, gv)
     if t is None:
         return ""
-    if _exponents(couple) == (1.0, INF):
+    if set(_exponents(couple)) == {1.0, INF}:
         kf, kg = (_FUNCTIONALS["K"](couple, v, np.array([t]))[0][0] for v in (fv, gv))
         return f"pair is not ordered: at t={t!r}, K(t, g) = {kg:.17g} exceeds K(t, f) = {kf:.17g}"
     ts = default_t_grid()
     prof = profile("K", couple, np.stack([fv, gv]), ts)
     (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
-    tol = ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
-    broken = ~(kg <= kf + tol)
-    if not broken.any():
+    report = _sandwich(ts, kg, kf, INF, gap_g, gap_f, ("K(t, g) above K(t, f)",))
+    if report.ok:
         return ""
-    i = int(np.argmax(broken))
+    i = int(np.searchsorted(ts, report.violations[0][0]))
     return (
         f"pair is not ordered on the convexified couple: at t={ts[i]:.6g}, K(t, g) = "
-        f"{kg[i]:.17g} exceeds K(t, f) = {kf[i]:.17g} by more than the tolerance {tol[i]:.3e}"
+        f"{kg[i]:.17g} exceeds K(t, f) = {kf[i]:.17g} by more than the tolerance "
+        f"{report.tolerances[0, i]:.3e}"
     )
 
 

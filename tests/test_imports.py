@@ -5,9 +5,10 @@ overridden somewhere in the package.
 No linter ships with the package, so the standard library's ``ast`` finds
 imported names that never appear in a module's body.  Names listed in a
 module's ``__all__`` count as used: the package re-exports them.  A top-level
-function or class of the package must be referenced outside its own body,
-in the package, its tests or the benchmark, so a dispatch or helper that a
-refactor leaves behind fails the suite.
+function, class or assigned name of the package must be referenced outside
+its own body, in the package, its tests or the benchmark, so a dispatch,
+helper or constant that a refactor leaves behind fails the suite; assigning
+a name is not a reference to it.
 
 A private function (one whose name starts with a single underscore, at any
 depth) is called only from inside the package, so a parameter of it that
@@ -65,21 +66,32 @@ def test_the_check_sees_an_unused_import():
 
 
 def _definitions(tree: ast.Module) -> set:
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    """Top-level functions, classes and assigned names, dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {
+                n.id
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                and not n.id.startswith("__")
+            }
+    return names
 
 
 def _references(tree: ast.Module) -> set:
-    """(name, top-level definition it sits in, or None) for every name, attribute,
-    imported name and string constant; strings cover ``__all__`` and setattr."""
+    """(name, top-level definition it sits in, or None) for every name read,
+    attribute, imported name and string constant; strings cover ``__all__``
+    and setattr."""
     refs = set()
     for top in tree.body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 refs.add((node.id, owner))
             elif isinstance(node, ast.Attribute):
                 refs.add((node.attr, owner))
@@ -128,6 +140,20 @@ def test_the_check_sees_a_dead_definition():
     }
     dead = _dead_definitions(sources, {"pkg.py"})
     assert dead == {("pkg", "recursive"), ("pkg", "Dead")}
+
+
+def test_the_check_sees_a_dead_assignment():
+    # a constant whose last reader went, such as a dropped slack, is dead,
+    # and so is a name that is only ever assigned, here through ``global``
+    sources = {
+        "pkg.py": "__all__ = ['API']\nAPI = 1\nTOL = 1e-9\nGRID_SLACK = 1e-9\n"
+        "_cache: dict = {}\nLOW, HIGH = 0, 1\nSEEN = False\n\n"
+        "def check(x):\n    global SEEN\n    SEEN = True\n"
+        "    _cache[x] = x\n    return x <= TOL * HIGH\n",
+        "test_pkg.py": "import pkg\npkg.check(1)\n",
+    }
+    dead = _dead_definitions(sources, {"pkg.py"})
+    assert dead == {("pkg", "GRID_SLACK"), ("pkg", "LOW"), ("pkg", "SEEN")}
 
 
 def _private_defaults(tree: ast.Module) -> dict:

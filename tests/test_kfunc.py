@@ -18,6 +18,7 @@ from caldera import (
     NumericalFailure,
     WeightedP,
     convexify_couple,
+    generate_instance,
     vector,
 )
 from caldera import kfunc
@@ -1216,6 +1217,42 @@ def test_k_power_sandwich_takes_the_base_gap_in_root_units(monkeypatch):
     assert t == 1.0 and worst == pytest.approx(1e-6, rel=1e-9)
 
 
+def test_k_power_sandwich_takes_the_full_root_width_of_the_base_gap(monkeypatch):
+    # K(1, |f|^2) = 1e-6 with gap 1e-7 puts its square root in [9.487e-4,
+    # 1e-3]; a middle 2e-7 below 1e-3 lies inside that width of 5.1e-5, so
+    # it is a solver flag.  Capped at the gap, 1e-7, the width made it a
+    # violation
+    couple = l1_linf_couple(_uniform(3))
+    monkeypatch.setitem(kfunc._FUNCTIONALS, "K", _fixed_k_table(couple, 1e-6, 1e-7, 1e-3 - 2e-7))
+    report = check_k_power_sandwich(couple, [3.0, 2.0, 1.0], 2.0, t_grid=[1.0])
+    assert report.ok and report.corollary_ok and report.violations == ()
+    [(t, worst)] = report.solver_flags
+    assert t == 1.0 and worst == pytest.approx(2e-7, rel=1e-6)
+    assert report.tolerances[0, 0] == pytest.approx(1e-3 - math.sqrt(9e-7), rel=1e-6)
+
+
+def test_k_power_corollary_fails_on_a_middle_above_twice_the_lower(monkeypatch):
+    # 1.9 and 2.1 times the lower both break the chain's bound 2^(2/3); only
+    # 2.1 breaks the corollary's 2
+    couple = l1_linf_couple(_uniform(3))
+    lower = 1000.0 ** (1.0 / 3.0)
+    for scale, holds in ((1.9, True), (2.1, False)):
+        table = _fixed_k_table(couple, 1000.0, 0.0, scale * lower)
+        monkeypatch.setitem(kfunc._FUNCTIONALS, "K", table)
+        report = check_k_power_sandwich(couple, [3.0, 2.0, 1.0], 3.0, t_grid=[1.0])
+        assert report.corollary_ok == holds
+        assert not report.ok and [side for _, side, _ in report.violations] == ["above upper"]
+
+
+@pytest.mark.parametrize("p", [513.0, 600.0, 1000.0])
+def test_k_power_sandwich_and_its_corollary_hold_where_2_to_the_2p_overflows(p):
+    couple = l1_linf_couple(_uniform(3))
+    f = [1.0, 0.8, 0.6]
+    report = check_k_power_sandwich(couple, f, p)
+    assert report.ok and report.corollary_ok, report.violations
+    assert check_d_power_sandwich(couple, f, p).ok
+
+
 def test_k_d_sandwich_flags_a_break_inside_the_certified_k_gap(monkeypatch):
     # K = 1 with gap 1e-6 at every t: D breaks each side once by 1e-7, inside
     # the gap (a solver flag), and once by 1e-5, past it (a violation)
@@ -1249,17 +1286,16 @@ def _loop_sandwich_entries(ts, kv, dv, slack):
 
 
 def _loop_power_entries(ts, lower, middle, bound, soft, hard):
-    """The per-t loop of _power_sandwich before it was vectorised."""
+    """A per-t loop of the power sandwich's comparison; ``soft`` and ``hard``
+    hold one tolerance array per side, the lower side first."""
     violations, flags = [], []
     for i, t in enumerate(ts):
-        low_break = lower[i] - middle[i]
-        high_break = middle[i] - bound * lower[i]
-        worst = max(low_break, high_break)
-        if worst > soft[i]:
-            side = "below lower" if low_break >= high_break else "above upper"
-            violations.append((float(t), side, float(worst)))
-        elif worst > hard[i]:
-            flags.append((float(t), float(worst)))
+        breaks = (lower[i] - middle[i], middle[i] - bound * lower[i])
+        for s, side in enumerate(("below lower", "above upper")):
+            if breaks[s] > soft[s][i]:
+                violations.append((float(t), side, float(breaks[s])))
+            elif breaks[s] > hard[s][i]:
+                flags.append((float(t), float(breaks[s])))
     return violations, flags
 
 
@@ -1294,12 +1330,16 @@ def test_vectorised_sandwich_comparisons_keep_the_loops_entries(monkeypatch, see
     monkeypatch.setitem(kfunc._FUNCTIONALS, "K", table)
     with np.errstate(invalid="ignore", over="ignore"):
         report = check_k_power_sandwich(couple, [3.0, 2.0, 1.0], p, t_grid=ts)
-        hard = kfunc.SANDWICH_TOL * np.maximum(lower, 1e-300)
-        # the base gap in root units, capped at the gap; the middle's as it is
-        root_gap = np.minimum(lower - np.maximum(base - gaps, 0.0) ** (1.0 / p), gaps)
+        scale = kfunc.SANDWICH_TOL * np.maximum(lower, 1e-300)
+        # the base gap in root units, its full certified width; the middle's
+        # as it is; the upper side scales the lower term's part by the bound
+        root_gap = lower - np.maximum(base - gaps, 0.0) ** (1.0 / p)
+        bound = 2.0 ** (1.0 - 1.0 / p)
+        soft = (scale + root_gap + gaps, bound * (scale + root_gap) + gaps)
         violations, flags = _loop_power_entries(
-            ts, lower, middle, 2.0 ** (1.0 - 1.0 / p), hard + root_gap + gaps, hard
+            ts, lower, middle, bound, soft, (scale, bound * scale)
         )
+        np.testing.assert_array_equal(report.tolerances, soft)
         if seed % 2:
             violations.append((float("nan"), "non-finite value", math.inf))
         assert repr(report.violations) == repr(tuple(violations))
@@ -1365,16 +1405,16 @@ def _grid_ordered(couple, f, g, ts):
     """The grid route's rule on one validated profile of the stack [f, g]."""
     prof = profile("K", couple, np.stack([f, g]), ts)
     (kf, kg), (gap_f, gap_g) = prof.values, prof.gaps
-    tol = kfunc.ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
-    return bool(np.all(kg <= kf + tol))
+    tol = kfunc.SANDWICH_TOL * np.maximum(kg, 1e-300) + gap_g + gap_f
+    return bool(np.all(kg - kf <= tol))
 
 
 def _order_by_single_profiles(couple, f, g, ts):
     """The ordering rule on two separate one-vector profiles."""
     kf, gap_f = _unvalidated("K", couple, f, ts)
     kg, gap_g = _unvalidated("K", couple, g, ts)
-    tol = kfunc.ORDER_GRID_SLACK * np.maximum(kf, 1e-300) + gap_f + gap_g
-    return bool(np.all(kg <= kf + tol))
+    tol = kfunc.SANDWICH_TOL * np.maximum(kg, 1e-300) + gap_g + gap_f
+    return bool(np.all(kg - kf <= tol))
 
 
 def test_k_order_decisions_match_one_vector_profiles():
@@ -1459,14 +1499,13 @@ def test_p_majorization_applies_to_lq_sup_couples_of_any_weights():
         Couple(space=MeasureSpace([4.0, 4.0]), norm0=WeightedP(3.0), norm1=WeightedP(INF)),
         l1_linf_couple(weighted),
         convexify_couple(l1_linf_couple(weighted), 2.0),
-    ):
-        assert kfunc.p_majorization_orders(couple, f, g)
-    # no sup side, or a sup first side: the grid decides
-    for couple in (
-        Couple(space=_uniform(2), norm0=WeightedP(2.0), norm1=WeightedP(3.0)),
+        # a sup first side: the rule of the swapped couple
         Couple(space=_uniform(2), norm0=WeightedP(INF), norm1=WeightedP(2.0)),
     ):
-        assert not kfunc.p_majorization_orders(couple, f, g)
+        assert kfunc.p_majorization_orders(couple, f, g)
+    # no sup side: the grid decides
+    couple = Couple(space=_uniform(2), norm0=WeightedP(2.0), norm1=WeightedP(3.0))
+    assert not kfunc.p_majorization_orders(couple, f, g)
     # a permutation is majorized on uniform weights; moving the large atom onto
     # the heavier weight breaks the weighted rule, and the ordering with it
     f, g = np.array([3.0, 1.0]), np.array([1.0, 3.0])
@@ -1548,6 +1587,43 @@ def test_power_rule_on_l1_sup_is_exact():
         assert (k_numeric(couple, g, t)[0], k_numeric(couple, f, t)[0]) == (kg, kf)
         assert kg > kf
     assert seen == {True, False}
+
+
+def test_sup_first_couples_take_the_power_rule_of_their_swap(monkeypatch):
+    # K(t) = t K'(1/t) on the swapped couple, so on (sup, l1) a refusal at
+    # the swap's breakpoint t' is final at t = 1 / t', with the exact K
+    # values; entrywise perturbed permutations include pairs that break only
+    # between the default grid's points, which the grid accepted
+    rng = np.random.default_rng(5)
+    number = r"([-+0-9.e]+)"
+    refused = off_grid = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 6))
+        f = rng.uniform(0.1, 2.0, size=n)
+        g = rng.permutation(f) * rng.uniform(0.9, 1.05, size=n)
+        couple = Couple(space=_uniform(n), norm0=WeightedP(INF), norm1=WeightedP(1.0))
+        failure = kfunc.k_order_failure(couple, f, g)
+        if not failure:
+            continue
+        found = re.fullmatch(
+            rf"pair is not ordered: at t={number}, K\(t, g\) = {number} "
+            rf"exceeds K\(t, f\) = {number}",
+            failure,
+        )
+        assert found, failure
+        t, kg, kf = (float(x) for x in found.groups())
+        assert (k_numeric(couple, g, t)[0], k_numeric(couple, f, t)[0]) == (kg, kf)
+        assert kg > kf
+        refused += 1
+        off_grid += _grid_ordered(couple, f, g, default_t_grid())
+    assert refused > 300 and off_grid >= 1
+    # a generated (sup, l2) pair is ordered by the swapped rule alone
+    inst = generate_instance(11, 6, p=2.0, k_ordered=True)
+    couple = Couple(space=inst.couple.space, norm0=WeightedP(INF), norm1=WeightedP(2.0))
+    calls = []
+    monkeypatch.setattr(kfunc, "profile", lambda *args: calls.append(args))
+    assert k_order_dominates(couple, inst.f, inst.g)
+    assert calls == []
 
 
 def test_default_grids_pass_as_built_and_other_arrays_are_checked():
